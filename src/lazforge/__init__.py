@@ -63,7 +63,6 @@ from .seqcore import (
     cyclic_shift,
     equal_up_to_shift,
     load_sequence_set,
-    phase_mul,
     save_sequence_set,
 )
 from .verify import (

@@ -25,17 +25,10 @@ import numpy as np
 from .errors import PreconditionError
 from .hgen import HMatrix
 from .lpnf import ZFunc
-from .seqcore import SequenceSet, UnimodSequence, Zone
-
-KINDS = ("periodic", "aperiodic")
+from .seqcore import SequenceSet, UnimodSequence, Zone, check_kind
 
 # |AF| comparisons against integer thresholds, scaled by the sequence length
 MAG_TOL_SCALE = 1e-6
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in KINDS:
-        raise PreconditionError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -107,7 +100,7 @@ def _masked_product(a: np.ndarray, b: np.ndarray, tau: int, kind: str) -> np.nda
 
 def af_row(a: UnimodSequence, b: UnimodSequence, tau: int, kind: str) -> np.ndarray:
     """AF(tau, v) for all v in [0, L) by a single length-L transform."""
-    _check_kind(kind)
+    check_kind(kind)
     if a.length != b.length:
         raise PreconditionError("sequences must have equal length")
     c = _masked_product(a.values, b.values, tau, kind)
@@ -134,7 +127,7 @@ def af_grid(
     kind: str,
     source: tuple = (),
 ) -> AFGrid:
-    _check_kind(kind)
+    check_kind(kind)
     zone.check_fits(a.length)
     n = a.length
     delays = zone.delays()
@@ -190,7 +183,7 @@ def theta_max(
     pairs over the full zone.  Witness ties break lexicographically on
     (pair, tau, v), so reports are stable across runs and thread counts.
     """
-    _check_kind(kind)
+    check_kind(kind)
     zone.check_fits(s.length)
     workers = resolve_threads(threads)
     mat = s.matrix
@@ -248,7 +241,7 @@ def structural_af(
     the periodic kind, a truncated geometric sum for the aperiodic kind.
     Exists as an independent oracle against direct evaluation.
     """
-    _check_kind(kind)
+    check_kind(kind)
     n, k = f.domain_size, f.codomain_size
     if h.order != n:
         raise PreconditionError("companion matrix order must match the domain size")

@@ -35,6 +35,7 @@ from .lpnf import (
 from .seqcore import (
     Zone,
     load_sequence_set,
+    read_json,
     save_sequence_set,
     sequence_set_to_dict,
 )
@@ -117,11 +118,7 @@ def _cmd_hgen(args) -> int:
         print("error: --kind and --n are required to generate", file=sys.stderr)
         return 2
     h = make_hmatrix(args.kind, args.n)
-    d = sequence_set_to_dict(h.as_sequence_set())
-    if args.output:
-        _json_out(d, args.output)
-    else:
-        _json_out(d)
+    _json_out(sequence_set_to_dict(h.as_sequence_set()), args.output)
     return 0
 
 
@@ -202,7 +199,7 @@ def _cmd_verify(args) -> int:
     meta_path = Path(args.meta) if args.meta else _meta_path(args.set)
     if not meta_path.exists():
         raise PreconditionError(f"no claimed parameters found at {meta_path}")
-    meta = json.loads(meta_path.read_text())
+    meta = read_json(meta_path)
     kinds = ("periodic", "aperiodic") if args.kind == "both" else (args.kind,)
     threads = resolve_threads(args.threads)
     out = {"certificates": [], "all_pass": True}

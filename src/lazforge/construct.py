@@ -11,20 +11,16 @@ giving N sequences of length N*K.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import PreconditionError
 from .hgen import HMatrix, verify_h_constraints
 from .lpnf import ZFunc, lpnf_zone_for
 from .numth import smallest_prime_factor
-from .seqcore import SequenceSet, UnimodSequence, Zone
-
-KINDS = ("periodic", "aperiodic")
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in KINDS:
-        raise PreconditionError(f"kind must be one of {KINDS}, got {kind!r}")
+from .seqcore import TWO_PI, SequenceSet, UnimodSequence, Zone, check_kind
 
 
 @dataclass(frozen=True)
@@ -38,7 +34,7 @@ class LazParams:
     kind: str
 
     def __post_init__(self):
-        _check_kind(self.kind)
+        check_kind(self.kind)
         if self.theta <= 0:
             raise PreconditionError("theta must be positive")
 
@@ -65,14 +61,9 @@ class LazParams:
 
 def build_a_matrix(f: ZFunc) -> SequenceSet:
     """Rows a_k(t) = w_K^{t f(k)} for k in [0, N): N sequences of length K."""
-    k_mod = f.codomain_size
-    rows = tuple(
-        UnimodSequence.from_turns(
-            [(t * f.table[x]) % k_mod for t in range(k_mod)], k_mod
-        )
-        for x in range(f.domain_size)
-    )
-    return SequenceSet(rows)
+    k = f.codomain_size
+    turns = np.outer(f.table, np.arange(k)) % k
+    return SequenceSet(tuple(UnimodSequence(row, k) for row in turns))
 
 
 def interleave(columns: list[UnimodSequence]) -> UnimodSequence:
@@ -80,25 +71,21 @@ def interleave(columns: list[UnimodSequence]) -> UnimodSequence:
 
     Output length L*M with u(t*M + m) = columns[m](t).
     """
-    if not columns:
-        raise PreconditionError("need at least one column")
-    length = columns[0].length
-    if any(c.length != length for c in columns):
-        raise PreconditionError("columns must share one length")
-    entries = tuple(c.entries[t] for t in range(length) for c in columns)
-    return UnimodSequence(entries)
+    phases, d = SequenceSet(tuple(columns)).stacked_phases()
+    return UnimodSequence(phases.T.ravel(), d)
 
 
 def deinterleave(u: UnimodSequence, m: int) -> list[UnimodSequence]:
     """Split u back into the m columns that interleave() would combine."""
     if m < 1 or u.length % m != 0:
         raise PreconditionError("column count must divide the sequence length")
-    return [UnimodSequence(u.entries[i::m]) for i in range(m)]
+    return [UnimodSequence(u.phases[i::m], u.denominator) for i in range(m)]
 
 
 def build_laz_set(f: ZFunc, h: HMatrix) -> SequenceSet:
-    """The interleaved sequence set for f and a verified companion matrix."""
-    n = f.domain_size
+    """The interleaved sequence set for f and a verified companion matrix:
+    s_n(t*N + m) = h_n(m) * w_K^{t f(m)}."""
+    n, k = f.domain_size, f.codomain_size
     if h.order != n:
         raise PreconditionError(
             f"companion matrix order {h.order} != function domain size {n}"
@@ -110,12 +97,15 @@ def build_laz_set(f: ZFunc, h: HMatrix) -> SequenceSet:
             f"(max inner {report.max_offdiag_inner:.6g}, "
             f"max modulated {report.max_modulated:.6g})"
         )
-    base = build_a_matrix(f)
-    members = tuple(
-        interleave([base[m].scaled(h.rows[n_row][m]) for m in range(n)])
-        for n_row in range(n)
-    )
-    return SequenceSet(members)
+    t, m = (a.ravel() for a in np.indices((k, n)))
+    base = (t * np.asarray(f.table)[m]) % k  # w_K^{t f(m)} in turns of 1/K
+    h_phases, h_den = h.as_sequence_set().stacked_phases()
+    if h_den is None:
+        d, rows = None, h_phases[:, m] + TWO_PI * (base / k)
+    else:
+        d = math.lcm(h_den, k)
+        rows = h_phases[:, m] * (d // h_den) + base * (d // k)
+    return SequenceSet(tuple(UnimodSequence(row, d) for row in rows))
 
 
 def predicted_params(n: int, k: int, kind: str) -> LazParams:
@@ -125,7 +115,7 @@ def predicted_params(n: int, k: int, kind: str) -> LazParams:
     with p the smallest prime factor of N; the zone is the one on which the
     quadratic family is locally perfect nonlinear.
     """
-    _check_kind(kind)
+    check_kind(kind)
     zone = lpnf_zone_for(n, k)  # validates n odd > 2, k >= n
     p = smallest_prime_factor(n)
     theta = k if kind == "periodic" else k + p - 1
@@ -144,7 +134,7 @@ def power_map_params(p: int, kind: str) -> LazParams:
     The set has p-1 members of length p(p-1) with zone
     (-(p-1), p-1) x (-p, p) and theta = p (periodic) or 2p - 2 (aperiodic).
     """
-    _check_kind(kind)
+    check_kind(kind)
     if p < 3:
         raise PreconditionError("prime must be at least 3")
     theta = p if kind == "periodic" else 2 * p - 2

@@ -26,13 +26,10 @@ from .numth import (
     lfsr_sequence,
     smallest_primitive_polynomial,
 )
-from .seqcore import Phase, SequenceSet, UnimodSequence, cyclic_shift
+from .seqcore import SequenceSet, UnimodSequence, cyclic_shift
 
 INNER_TOL = 1e-9
 MODULATED_MARGIN = 1e-6
-
-_PLUS = Phase.rational(0, 1)
-_MINUS = Phase.rational(1, 2)
 
 
 @dataclass(frozen=True)
@@ -107,10 +104,7 @@ def dft_submatrix(n: int) -> HMatrix:
     """
     if n < 2:
         raise PreconditionError("order must be at least 2")
-    rows = tuple(
-        UnimodSequence.from_turns([(i * t) % (n + 1) for t in range(n)], n + 1)
-        for i in range(n)
-    )
+    rows = tuple(UnimodSequence(row, n + 1) for row in np.outer(range(n), range(n)) % (n + 1))
     return HMatrix(order=n, rows=rows, provenance="dft_submatrix")
 
 
@@ -122,13 +116,8 @@ def legendre_shifts(n: int) -> HMatrix:
     """
     if not is_prime(n) or n == 2:
         raise PreconditionError("length must be an odd prime")
-    row0 = UnimodSequence(
-        tuple(
-            _PLUS if t == 0 or legendre_symbol(t, n) == 1 else _MINUS
-            for t in range(n)
-        )
-    )
-    return _shift_rows(row0, "legendre")
+    minus = [t != 0 and legendre_symbol(t, n) != 1 for t in range(n)]
+    return _shift_rows(UnimodSequence(minus, 2), "legendre")
 
 
 def msequence_shifts(m: int, poly_mask: int | None = None) -> HMatrix:
@@ -141,9 +130,7 @@ def msequence_shifts(m: int, poly_mask: int | None = None) -> HMatrix:
         raise PreconditionError("degree must be at least 2")
     if poly_mask is None:
         poly_mask = smallest_primitive_polynomial(m)
-    bits = lfsr_sequence(m, poly_mask)
-    row0 = UnimodSequence(tuple(_MINUS if b else _PLUS for b in bits))
-    return _shift_rows(row0, "msequence")
+    return _shift_rows(UnimodSequence(lfsr_sequence(m, poly_mask), 2), "msequence")
 
 
 def bjorck_shifts(p: int) -> HMatrix:
@@ -162,7 +149,7 @@ def bjorck_shifts(p: int) -> HMatrix:
     else:
         theta = math.acos((1.0 - p) / (1.0 + p))
         angles = [theta if legendre_symbol(t, p) == -1 else 0.0 for t in range(p)]
-    return _shift_rows(UnimodSequence.from_angles(angles), "bjorck")
+    return _shift_rows(UnimodSequence(angles), "bjorck")
 
 
 def hmatrix_from_set(s: SequenceSet, provenance: str = "custom") -> HMatrix:

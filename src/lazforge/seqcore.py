@@ -1,10 +1,10 @@
 """Core types: unit-modulus phases (exact roots of unity or float angles),
 unimodular sequences, sequence sets, and delay-Doppler zones.
 
-All constructed sequences in this package have root-of-unity entries, which we
-keep as exact fractions of a turn so that magnitude comparisons downstream are
-bit-stable.  Float angles exist only for families whose phases are not roots
-of unity (Björck rows).
+All constructed sequences in this package have root-of-unity entries, which a
+sequence keeps as integer numerators over one shared denominator, so that
+magnitude comparisons downstream are bit-stable.  Float angles exist only for
+families whose phases are not roots of unity (Björck rows).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +27,22 @@ TWO_PI = 2.0 * math.pi
 # per-entry comparison tolerance for float-angle phases
 FLOAT_PHASE_TOL = 1e-9
 
+# largest common denominator of a set file; keeps numerator products in int64
+MAX_DENOMINATOR = 2**31
+
+KINDS = ("periodic", "aperiodic")
+
+
+def check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise PreconditionError(f"kind must be one of {KINDS}, got {kind!r}")
+
 
 @dataclass(frozen=True)
 class Phase:
-    """A unit-modulus complex number exp(2*pi*i*x).
-
-    Exactly one of `turns` (x as an exact Fraction, canonical in [0, 1)) or
-    `angle` (2*pi*x in radians, canonical in [0, 2*pi)) is set.
-    """
+    """A unit-modulus complex number exp(2*pi*i*x), the scalar of a sequence:
+    either `turns` (x as an exact Fraction in [0, 1)) or `angle` (2*pi*x in
+    radians, in [0, 2*pi)) is set."""
 
     turns: Fraction | None = None
     angle: float | None = None
@@ -44,7 +53,7 @@ class Phase:
         if self.turns is not None:
             object.__setattr__(self, "turns", self.turns % 1)
         else:
-            object.__setattr__(self, "angle", float(self.angle) % TWO_PI)
+            object.__setattr__(self, "angle", float(self.angle) % TWO_PI % TWO_PI)
 
     @classmethod
     def rational(cls, numerator: int, denominator: int) -> "Phase":
@@ -63,18 +72,6 @@ class Phase:
     @property
     def is_rational(self) -> bool:
         return self.turns is not None
-
-    @property
-    def numerator(self) -> int:
-        if self.turns is None:
-            raise PreconditionError("float phase has no numerator")
-        return self.turns.numerator
-
-    @property
-    def denominator(self) -> int:
-        if self.turns is None:
-            raise PreconditionError("float phase has no denominator")
-        return self.turns.denominator
 
     def to_angle(self) -> float:
         if self.turns is not None:
@@ -95,74 +92,83 @@ class Phase:
             return Phase(turns=self.turns + other.turns)
         return Phase(angle=self.to_angle() + other.to_angle())
 
-    def __pow__(self, k: int) -> "Phase":
-        if self.turns is not None:
-            return Phase(turns=self.turns * k)
-        return Phase(angle=self.angle * k)
 
-    def approx_equal(self, other: "Phase", tol: float = FLOAT_PHASE_TOL) -> bool:
-        """Exact comparison when both sides are rational, complex-value
-        comparison within tol otherwise."""
-        if self.turns is not None and other.turns is not None:
-            return self.turns == other.turns
-        return abs(self.value - other.value) <= tol
-
-
-def phase_mul(p: Phase, q: Phase) -> Phase:
-    """Phase of the product; rational x rational stays rational."""
-    return p * q
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnimodSequence:
-    """A finite sequence of unit-modulus entries."""
+    """A finite sequence of unit-modulus entries, held as one read-only array.
 
-    entries: tuple[Phase, ...]
+    Rational (`denominator` D set): int64 numerators k in [0, D), entry
+    exp(2*pi*i*k/D), with D the smallest denominator that fits every entry.
+    Float (`denominator` None): radian angles in [0, 2*pi).
+    """
+
+    phases: np.ndarray
+    denominator: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if len(self.entries) < 1:
-            raise PreconditionError("sequence must have at least one entry")
-
-    def __len__(self) -> int:
-        return len(self.entries)
+        d = self.denominator
+        phases = np.asarray(self.phases, dtype=np.float64 if d is None else np.int64)
+        if phases.ndim != 1 or phases.size < 1:
+            raise PreconditionError("sequence must be a nonempty 1-D array")
+        if d is None:
+            if not np.all(np.isfinite(phases)):
+                raise PreconditionError("angles must be finite")
+            # the outer mod folds an inner result that rounded up to 2*pi
+            phases = np.mod(np.mod(phases, TWO_PI), TWO_PI)
+        elif d <= 0:
+            raise PreconditionError("denominator must be positive")
+        else:
+            phases = phases % d
+            g = np.gcd.reduce(phases, initial=d)
+            phases, d = phases // g, int(d // g)
+        phases.flags.writeable = False
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "denominator", d)
 
     def __getitem__(self, t: int) -> Phase:
-        return self.entries[t]
+        if self.denominator is None:
+            return Phase.radians(float(self.phases[t]))
+        return Phase.rational(int(self.phases[t]), self.denominator)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UnimodSequence):
+            return NotImplemented
+        # denominators are canonical, so equal rational sequences share one
+        same_kind = self.denominator == other.denominator
+        return same_kind and np.array_equal(self.phases, other.phases)
 
     @property
     def length(self) -> int:
-        return len(self.entries)
+        return self.phases.size
 
     @property
     def is_rational(self) -> bool:
-        return all(p.is_rational for p in self.entries)
+        return self.denominator is not None
+
+    @property
+    def angles(self) -> np.ndarray:
+        """Entries as radian angles in [0, 2*pi)."""
+        if self.denominator is None:
+            return self.phases
+        return TWO_PI * (self.phases / self.denominator)
 
     @cached_property
     def values(self) -> np.ndarray:
         """Entries as a complex128 vector (cached; the dataclass is frozen)."""
-        return np.exp(1j * np.array([p.to_angle() for p in self.entries]))
+        return np.exp(1j * self.angles)
 
     def scaled(self, c: Phase) -> "UnimodSequence":
-        return UnimodSequence(tuple(c * p for p in self.entries))
-
-    @classmethod
-    def from_angles(cls, angles) -> "UnimodSequence":
-        return cls(tuple(Phase.radians(a) for a in angles))
-
-    @classmethod
-    def from_turns(cls, numerators, denominator: int) -> "UnimodSequence":
-        return cls(tuple(Phase.rational(n, denominator) for n in numerators))
+        if self.is_rational and c.is_rational:
+            x = c.turns
+            d = math.lcm(self.denominator, x.denominator)
+            turns = self.phases * (d // self.denominator) + x.numerator * (d // x.denominator)
+            return UnimodSequence(turns, d)
+        return UnimodSequence(self.angles + c.to_angle())
 
 
 def cyclic_shift(s: UnimodSequence, tau: int) -> UnimodSequence:
     """result(t) = s(t + tau mod N); positive tau shifts left."""
-    n = s.length
-    return UnimodSequence(tuple(s.entries[(t + tau) % n] for t in range(n)))
-
-
-def _entries_match(a: UnimodSequence, b: UnimodSequence) -> bool:
-    return all(p.approx_equal(q) for p, q in zip(a.entries, b.entries))
+    return UnimodSequence(np.roll(s.phases, -tau), s.denominator)
 
 
 def equal_up_to_shift(
@@ -171,25 +177,24 @@ def equal_up_to_shift(
     """Witness (tau, c) such that t == c * cyclic_shift(s, tau), if one exists.
 
     Without allow_phase the scalar c is required to be 1.  Candidate shifts
-    are located by an FFT correlation peak and then confirmed entry by entry
-    (exactly for rational phases, within FLOAT_PHASE_TOL otherwise).
+    are located by an FFT correlation peak and then confirmed by comparing
+    whole sequences (exactly for rational phases, entry by entry within
+    FLOAT_PHASE_TOL otherwise).
     """
     if s.length != t.length:
         raise PreconditionError("sequences must have equal length")
     n = s.length
     # corr[k] = sum_x t(x) s*(x-k) peaks at magnitude n exactly when
     # t(x) = c * s(x+tau) with tau = -k mod n; the filter is permissive,
-    # the entrywise confirmation below is authoritative
+    # the comparison below is authoritative
     corr = np.fft.ifft(np.fft.fft(t.values) * np.conj(np.fft.fft(s.values)))
     candidates = np.nonzero(np.abs(corr) >= n - 0.5)[0]
     for tau in sorted((-int(k)) % n for k in candidates):
-        shifted = cyclic_shift(s, tau)
-        if allow_phase:
-            c = t.entries[0] * shifted.entries[0].conjugate()
-            if _entries_match(shifted.scaled(c), t):
-                return tau, c
-        elif _entries_match(shifted, t):
-            return tau, Phase.one()
+        c = t[0] * s[tau].conjugate() if allow_phase else Phase.one()
+        u = cyclic_shift(s, tau).scaled(c)
+        exact = u.is_rational and t.is_rational
+        if (u == t) if exact else np.all(np.abs(u.values - t.values) <= FLOAT_PHASE_TOL):
+            return tau, c
     return None
 
 
@@ -223,6 +228,16 @@ class SequenceSet:
     def matrix(self) -> np.ndarray:
         """Members stacked as a (size, length) complex matrix (cached)."""
         return np.vstack([m.values for m in self.members])
+
+    def stacked_phases(self) -> tuple[np.ndarray, int | None]:
+        """Members' phases as one (size, length) array: numerators over their least
+        common denominator if all members are rational, else angles (denominator None)."""
+        if self.is_rational:
+            d = math.lcm(*(m.denominator for m in self.members))
+            if d > MAX_DENOMINATOR:
+                raise PreconditionError(f"common denominator exceeds {MAX_DENOMINATOR}")
+            return np.vstack([m.phases * (d // m.denominator) for m in self.members]), d
+        return np.vstack([m.angles for m in self.members]), None
 
     def __iter__(self):
         return iter(self.members)
@@ -266,36 +281,55 @@ class Zone:
 
 
 def sequence_set_to_dict(s: SequenceSet) -> dict:
-    rational = s.is_rational
-    if rational:
-        members = [
-            [[p.numerator, p.denominator] for p in m.entries] for m in s.members
-        ]
+    phases, d = s.stacked_phases()
+    if d is None:
+        mode, members = "float", phases.tolist()
     else:
-        members = [[p.to_angle() for p in m.entries] for m in s.members]
-    return {
-        "length": s.length,
-        "size": s.size,
-        "phase_mode": "rational" if rational else "float",
-        "members": members,
-    }
+        g = np.gcd(phases, d)  # each entry is written as a reduced fraction
+        mode, members = "rational", np.stack((phases // g, d // g), axis=-1).tolist()
+    return {"length": s.length, "size": s.size, "phase_mode": mode, "members": members}
 
 
 def sequence_set_from_dict(d: dict) -> SequenceSet:
-    mode = d["phase_mode"]
-    if mode == "rational":
-        members = [
-            UnimodSequence(tuple(Phase.rational(n, den) for n, den in row))
-            for row in d["members"]
-        ]
-    elif mode == "float":
-        members = [UnimodSequence.from_angles(row) for row in d["members"]]
-    else:
+    """Parse the schema above; input that does not follow it exactly, or a
+    common denominator above MAX_DENOMINATOR, is a PreconditionError."""
+    keys = ("length", "size", "phase_mode", "members")
+    if not isinstance(d, dict) or any(key not in d for key in keys):
+        raise PreconditionError(f"a set needs the keys {keys}")
+    length, size, mode, rows = (d[key] for key in keys)
+    if mode not in ("rational", "float"):
         raise PreconditionError(f"unknown phase_mode {mode!r}")
-    s = SequenceSet(tuple(members))
-    if s.length != d["length"] or s.size != d["size"]:
-        raise PreconditionError("declared length/size do not match members")
-    return s
+    rational = mode == "rational"
+    shape = (size, length, 2) if rational else (size, length)
+    try:
+        arr = np.asarray(rows)
+    except (ValueError, TypeError, OverflowError):  # ragged or unconvertible
+        arr = None
+    if arr is None or arr.shape != shape or {type(size), type(length)} != {int}:
+        raise PreconditionError(f"members must form the declared {shape} array")
+    # numpy turns bools into numbers, so look for them in the JSON itself
+    leaves = chain.from_iterable(chain.from_iterable(rows) if rational else rows)
+    if arr.dtype.kind not in ("i" if rational else "if") or bool in set(map(type, leaves)):
+        raise PreconditionError("entries must be " + ("integers" if rational else "numbers"))
+    if not rational:
+        return SequenceSet(tuple(UnimodSequence(row) for row in arr))
+    num, den = arr[..., 0], arr[..., 1]
+    if np.any(den <= 0):
+        raise PreconditionError("denominators must be positive")
+    common = 1
+    for v in np.unique(den).tolist():
+        common = math.lcm(common, v)
+        if common > MAX_DENOMINATOR:
+            raise PreconditionError(f"common denominator exceeds {MAX_DENOMINATOR}")
+    return SequenceSet(tuple(UnimodSequence(row, common) for row in num % den * (common // den)))
+
+
+def read_json(path: str | Path):
+    """The JSON value stored in a file; any other content is a PreconditionError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise PreconditionError(f"{path} is not valid JSON: {e}") from None
 
 
 def save_sequence_set(s: SequenceSet, path: str | Path) -> None:
@@ -303,4 +337,4 @@ def save_sequence_set(s: SequenceSet, path: str | Path) -> None:
 
 
 def load_sequence_set(path: str | Path) -> SequenceSet:
-    return sequence_set_from_dict(json.loads(Path(path).read_text()))
+    return sequence_set_from_dict(read_json(path))

@@ -174,8 +174,8 @@ def test_criterion_5_oracle_equivalence(constructed):
     rng = np.random.default_rng(2024)
     worst_fft = 0.0
     for length in (7, 21, 49, 77):
-        a = UnimodSequence.from_angles(2 * np.pi * rng.random(length))
-        b = UnimodSequence.from_angles(2 * np.pi * rng.random(length))
+        a = UnimodSequence(2 * np.pi * rng.random(length))
+        b = UnimodSequence(2 * np.pi * rng.random(length))
         for kind, direct in (("periodic", periodic_af), ("aperiodic", aperiodic_af)):
             for tau in (-2, 0, 1, length // 2):
                 row = af_row(a, b, tau, kind)

@@ -200,3 +200,53 @@ class TestDeterminism:
             str(tmp_path / "s.meta.json"), "--threads", "4",
         )
         assert one == four
+
+
+class TestFailClosedLoading:
+    """Unreadable or non-finite inputs are precondition errors (exit 3): never
+    a pass, and never a traceback that reads as a failed verification."""
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        good = tmp_path / "s.json"
+        assert run(capsys, "gen", "--n", "7", "--k", "7", "--h", "legendre", "-o", str(good))[0] == 0
+        nan = tmp_path / "nan.json"
+        nan.write_text(json.dumps(
+            {"length": 49, "size": 7, "phase_mode": "float",
+             "members": [[float("nan")] * 49 for _ in range(7)]}
+        ))
+        square_nan = tmp_path / "square_nan.json"
+        square_nan.write_text(json.dumps(
+            {"length": 7, "size": 7, "phase_mode": "float",
+             "members": [[float("nan")] * 7 for _ in range(7)]}
+        ))
+        text = good.read_text()
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text(text[: len(text) // 2])
+        return {"good": good, "meta": tmp_path / "s.meta.json", "nan": nan,
+                "square_nan": square_nan, "truncated": truncated}
+
+    @pytest.mark.parametrize("bad", ["nan", "truncated"])
+    def test_verify_refuses_bad_set(self, files, capsys, bad):
+        code, stdout, err = run(
+            capsys, "verify", "--set", str(files[bad]), "--meta", str(files["meta"])
+        )
+        assert (code, stdout) == (3, "") and err.startswith("error:")
+
+    def test_verify_refuses_truncated_meta(self, files, capsys):
+        code, _, err = run(
+            capsys, "verify", "--set", str(files["good"]), "--meta", str(files["truncated"])
+        )
+        assert code == 3 and err.startswith("error:")
+
+    @pytest.mark.parametrize("bad", ["square_nan", "truncated"])
+    def test_hgen_verify_refuses_bad_matrix(self, files, capsys, bad):
+        assert run(capsys, "hgen", "verify", str(files[bad]))[0] == 3
+
+    @pytest.mark.parametrize("bad", ["nan", "truncated"])
+    def test_af_refuses_bad_set(self, files, capsys, bad):
+        code, _, _ = run(
+            capsys, "af", "--set", str(files[bad]), "--pair", "0", "1",
+            "--kind", "periodic", "--zx", "2", "--zy", "2",
+        )
+        assert code == 3

@@ -27,53 +27,57 @@ def marker(k, n=64):
     return Phase.rational(k % n, n)
 
 
+def seq(*phases):
+    """The rational sequence whose entries are the given rational phases."""
+    d = math.lcm(*(p.turns.denominator for p in phases))
+    return UnimodSequence([p.turns.numerator * (d // p.turns.denominator) for p in phases], d)
+
+
+def entries(s):
+    return tuple(s[t] for t in range(s.length))
+
+
 class TestBaseMatrix:
     def test_zero_function_gives_all_ones(self):
         s = build_a_matrix(ZFunc(3, 5, (0, 0, 0)))
         assert s.size == 3 and s.length == 5
-        assert all(p == Phase.one() for m in s for p in m.entries)
+        assert all(p == Phase.one() for m in s for p in entries(m))
 
     def test_example_row(self):
         f = quad_lpnf(5, 1, 0, 8)  # f(2) = 4
         s = build_a_matrix(f)
-        assert s[2].entries == tuple(Phase.rational(4 * t, 8) for t in range(8))
+        assert entries(s[2]) == tuple(Phase.rational(4 * t, 8) for t in range(8))
 
     def test_row0_all_ones(self):
         f = quad_lpnf(5, 1, 0, 8)  # f(0) = 0
-        assert all(p == Phase.one() for p in build_a_matrix(f)[0].entries)
+        assert all(p == Phase.one() for p in entries(build_a_matrix(f)[0]))
 
 
 class TestInterleave:
     def test_two_columns(self):
         one, minus = Phase.rational(0, 2), Phase.rational(1, 2)
-        u = interleave(
-            [UnimodSequence((one, one)), UnimodSequence((one, minus))]
-        )
-        assert u.entries == (one, one, one, minus)
+        u = interleave([seq(one, one), seq(one, minus)])
+        assert entries(u) == (one, one, one, minus)
 
     def test_single_column_is_identity(self):
-        col = UnimodSequence(tuple(marker(k) for k in range(5)))
+        col = seq(*(marker(k) for k in range(5)))
         assert interleave([col]) == col
 
     def test_row_major_three_columns(self):
         a, b, c, d, e, f = (marker(k) for k in range(6))
-        u = interleave(
-            [UnimodSequence((a, b)), UnimodSequence((c, d)), UnimodSequence((e, f))]
-        )
-        assert u.entries == (a, c, e, b, d, f)
+        u = interleave([seq(a, b), seq(c, d), seq(e, f)])
+        assert entries(u) == (a, c, e, b, d, f)
 
     def test_length_mismatch(self):
         with pytest.raises(PreconditionError):
-            interleave(
-                [UnimodSequence((marker(0),)), UnimodSequence((marker(1), marker(2)))]
-            )
+            interleave([seq(marker(0)), seq(marker(1), marker(2))])
 
     @given(st.integers(1, 6), st.integers(1, 6), st.data())
     @settings(max_examples=30)
     def test_deinterleave_inverts(self, m, length, data):
         cols = [
-            UnimodSequence(
-                tuple(
+            seq(
+                *(
                     marker(data.draw(st.integers(0, 63), label=f"c{i}t{t}"))
                     for t in range(length)
                 )
@@ -87,8 +91,7 @@ class TestBuildLazSet:
     def test_t0_slice_reproduces_companion_row(self, set_7_7):
         h = legendre_shifts(7)
         for n in range(7):
-            slice0 = set_7_7[n].entries[:7]
-            assert all(p.approx_equal(q) for p, q in zip(slice0, h.rows[n].entries))
+            assert entries(set_7_7[n])[:7] == entries(h.rows[n])
 
     def test_entry_formula(self, set_7_7):
         f = quad_lpnf(7, 1, 0, 7)
@@ -100,9 +103,7 @@ class TestBuildLazSet:
     def test_denominators_divide_lcm(self, set_7_7):
         # legendre entries have denominator 1 or 2; base phases denominator 7
         target = math.lcm(7, 2)
-        assert all(
-            target % p.denominator == 0 for mem in set_7_7 for p in mem.entries
-        )
+        assert all(target % p.turns.denominator == 0 for mem in set_7_7 for p in entries(mem))
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(PreconditionError, match="order"):

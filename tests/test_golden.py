@@ -1,0 +1,100 @@
+"""Byte-identity of the command-line outputs against pinned sha256 digests.
+
+The digests were computed from the program as it stood before set phases
+moved from per-entry fractions to arrays; every output below must stay
+byte-for-byte the same.  To print the digests of the current program:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from lazforge.cli import main
+
+# (name, gen arguments): one configuration per companion family, the float
+# (Björck) family at two sizes, and the power map
+GEN = [
+    ("dft_9x81", ["--n", "9", "--k", "9", "--a2", "2", "--a1", "1", "--h", "dft"]),
+    ("legendre_7x49", ["--n", "7", "--k", "7", "--h", "legendre"]),
+    ("mseq_7x77", ["--n", "7", "--k", "11", "--a2", "3", "--a1", "5", "--h", "mseq"]),
+    ("bjorck_7x49", ["--n", "7", "--k", "7", "--h", "bjorck"]),
+    ("bjorck_23x529", ["--n", "23", "--k", "23", "--h", "bjorck"]),
+    ("power_11_2", ["--power-map", "11", "2"]),
+]
+
+GOLDEN = {
+    "gen dft_9x81 set": "7519fad246d1bbc912ccbb145ab4107cfa6d1d04c2cf4ce128e61b9517a9a038",
+    "gen dft_9x81 meta": "3eb704783e174a6f6d228719a86f080292a3c33f0033d4e8fb25a38c1bcb228e",
+    "gen legendre_7x49 set": "6da708cdae88d15dc3edc0a950f5b70040403542adcd56fab340017e68c896c2",
+    "gen legendre_7x49 meta": "3542db0f9cb24884853d33fc5a807c5077a600c7a83a772228822bb1083c5675",
+    "gen mseq_7x77 set": "85cf96980494f07174468a94a311253e56f8cf72cff50152ddd0e93eb60356a6",
+    "gen mseq_7x77 meta": "9d88d4bd88ad2dca662155798eb1f444ea09183c71f2d3d73f07eb03d46e8e39",
+    "gen bjorck_7x49 set": "cdcf754c9c1f7d34628bb72b22dad49f97ba7055f298278fbb7f8e43b50abd11",
+    "gen bjorck_7x49 meta": "7d7eb1c25adbd5ee6e6a4f0d28c32183730725eb465d4fe659514e8913e6d544",
+    "gen bjorck_23x529 set": "d3c6765495dfaa8c07e31e752c8b5eaded7f5c3f72bc3cbb68d0aed05eb534dd",
+    "gen bjorck_23x529 meta": "decac19cc9046485731c63dbe2b53983f3d60c7457450e43f63e7f0d96369416",
+    "gen power_11_2 set": "0313affcbd2f589a8e028c26370b8360b82f91d71f955d2fb55169ce3809ad78",
+    "gen power_11_2 meta": "65cc2cbb2b3242c21dc464d2605e138fa6c2ff2f0ac1fb1c67fabfaedcd5d57d",
+    "hgen dft 35": "105a7132d1788808cdbb1d2bf28d64b6ec044f7aab73d0586b91fc12ba9bbf29",
+    "hgen bjorck 7": "88bb703fbd0e48183cf3802743dad633587a088f5b55756651b72501c50ec417",
+    "af legendre_7x49 0 1 periodic": "e33a0a37bbc625801f7792e02fbbe541ad804777686be536d31b80f379db543f",
+    "af legendre_7x49 0 1 aperiodic": "6d26fe41a6e63f35abdf09b8407c57185347ac6dca3a1d7fc8033e5d3f252623",
+    "verify legendre_7x49": "6293c05bd325385125e1babfb631d43fe57120e5cebc89f63bbc9a92f014d5a1",
+    "verify bjorck_7x49": "7d87bebab7ced16f8bf7cc79fa3ac3927eab9d9d8a408705b9a2a68a244ac68d",
+    "verify bjorck_23x529": "5c65851c08f27f6e8d4c3d78861cedf220c943e6b665a4c39ac72627f35966a7",
+}
+
+
+def _run(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    if code != 0:
+        raise AssertionError(f"lazforge {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(workdir: Path) -> dict[str, str]:
+    got = {}
+    for name, args in GEN:
+        path = workdir / f"{name}.json"
+        _run(["gen", *args, "-o", str(path)])
+        got[f"gen {name} set"] = _sha(path.read_bytes())
+        got[f"gen {name} meta"] = _sha(path.with_suffix(".meta.json").read_bytes())
+    for kind, n in (("dft", "35"), ("bjorck", "7")):
+        got[f"hgen {kind} {n}"] = _sha(_run(["hgen", "--kind", kind, "--n", n]).encode())
+    legendre = str(workdir / "legendre_7x49.json")
+    for kind in ("periodic", "aperiodic"):
+        argv = ["af", "--set", legendre, "--pair", "0", "1", "--kind", kind,
+                "--zx", "7", "--zy", "7"]
+        got[f"af legendre_7x49 0 1 {kind}"] = _sha(_run(argv).encode())
+    for name in ("legendre_7x49", "bjorck_7x49", "bjorck_23x529"):
+        argv = ["verify", "--set", str(workdir / f"{name}.json"), "--kind", "both"]
+        got[f"verify {name}"] = _sha(_run(argv).encode())
+    return got
+
+
+@pytest.fixture(scope="module")
+def current(tmp_path_factory):
+    return digests(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("output", sorted(GOLDEN))
+def test_output_is_byte_identical(current, output):
+    assert current[output] == GOLDEN[output]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, value in digests(Path(tmp)).items():
+            print(f'    "{key}": "{value}",')

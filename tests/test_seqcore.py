@@ -16,9 +16,13 @@ from lazforge import (
     bjorck_shifts,
     cyclic_shift,
     equal_up_to_shift,
-    phase_mul,
 )
-from lazforge.seqcore import sequence_set_from_dict, sequence_set_to_dict
+from lazforge.seqcore import (
+    MAX_DENOMINATOR,
+    TWO_PI,
+    sequence_set_from_dict,
+    sequence_set_to_dict,
+)
 
 rational_phases = st.builds(
     lambda num, den: Phase.rational(num % den, den),
@@ -27,27 +31,35 @@ rational_phases = st.builds(
 )
 
 
+def seq(phases):
+    """The rational sequence whose entries are the given rational phases."""
+    d = math.lcm(*(p.turns.denominator for p in phases))
+    return UnimodSequence([p.turns.numerator * (d // p.turns.denominator) for p in phases], d)
+
+
+def entries(s):
+    return [s[t] for t in range(s.length)]
+
+
 def rational_sequences(min_size=1, max_size=24):
-    return st.lists(rational_phases, min_size=min_size, max_size=max_size).map(
-        lambda ps: UnimodSequence(tuple(ps))
-    )
+    return st.lists(rational_phases, min_size=min_size, max_size=max_size).map(seq)
 
 
 class TestPhase:
     def test_mul_quarter_turns(self):
         i = Phase.rational(1, 4)
-        assert phase_mul(i, i) == Phase.rational(1, 2)  # i * i = -1
+        assert i * i == Phase.rational(1, 2)  # i * i = -1
 
     def test_mul_by_one(self):
-        assert phase_mul(Phase.rational(0, 1), Phase.rational(3, 8)) == Phase.rational(3, 8)
+        assert Phase.rational(0, 1) * Phase.rational(3, 8) == Phase.rational(3, 8)
 
     def test_conjugate_pair(self):
-        assert phase_mul(Phase.rational(3, 8), Phase.rational(5, 8)) == Phase.rational(0, 1)
+        assert Phase.rational(3, 8) * Phase.rational(5, 8) == Phase.rational(0, 1)
 
     def test_normalized_to_unit_interval(self):
         p = Phase.rational(9, 4)
-        assert (p.numerator, p.denominator) == (1, 4)
-        assert phase_mul(Phase.rational(3, 4), Phase.rational(3, 4)).turns.denominator == 2
+        assert (p.turns.numerator, p.turns.denominator) == (1, 4)
+        assert (Phase.rational(3, 4) * Phase.rational(3, 4)).turns.denominator == 2
 
     def test_unit_modulus(self):
         assert abs(abs(Phase.rational(3, 7).value) - 1) < 1e-15
@@ -55,9 +67,9 @@ class TestPhase:
 
     @given(rational_phases, rational_phases)
     def test_rational_product_stays_rational(self, p, q):
-        r = phase_mul(p, q)
+        r = p * q
         assert r.is_rational
-        assert math.lcm(p.denominator, q.denominator) % r.denominator == 0
+        assert math.lcm(p.turns.denominator, q.turns.denominator) % r.turns.denominator == 0
 
     @given(rational_phases)
     def test_roundtrip_through_complex(self, p):
@@ -76,11 +88,10 @@ class TestPhase:
 class TestCyclicShift:
     def test_definition_unrolled(self):
         x = [Phase.rational(k, 5) for k in range(3)]
-        s = UnimodSequence(tuple(x))
-        assert cyclic_shift(s, 1).entries == (x[1], x[2], x[0])
+        assert entries(cyclic_shift(seq(x), 1)) == [x[1], x[2], x[0]]
 
     def test_identity_shifts(self):
-        s = UnimodSequence(tuple(Phase.rational(k, 7) for k in range(4)))
+        s = UnimodSequence(range(4), 7)
         assert cyclic_shift(s, 0) == s
         assert cyclic_shift(s, 4) == s
 
@@ -91,25 +102,25 @@ class TestCyclicShift:
 
 class TestEqualUpToShift:
     def test_finds_constructed_shift(self):
-        s = UnimodSequence(tuple(Phase.rational(k * k % 11, 11) for k in range(8)))
+        s = UnimodSequence([k * k for k in range(8)], 11)
         tau, c = equal_up_to_shift(s, cyclic_shift(s, 3))
         assert tau == 3 and c == Phase.one()
 
     def test_finds_phase_scaling(self):
-        s = UnimodSequence(tuple(Phase.rational(k * k % 11, 11) for k in range(8)))
+        s = UnimodSequence([k * k for k in range(8)], 11)
         tau, c = equal_up_to_shift(s, s.scaled(Phase.rational(1, 4)), allow_phase=True)
         assert tau == 0 and c == Phase.rational(1, 4)
 
     def test_scaling_invisible_without_allow_phase(self):
-        s = UnimodSequence(tuple(Phase.rational(k * k % 11, 11) for k in range(8)))
+        s = UnimodSequence([k * k for k in range(8)], 11)
         assert equal_up_to_shift(s, s.scaled(Phase.rational(1, 4))) is None
 
     def test_constructed_set_members_not_shift_equivalent(self, set_7_7):
         assert equal_up_to_shift(set_7_7[0], set_7_7[1], allow_phase=True) is None
 
     def test_length_mismatch(self):
-        a = UnimodSequence((Phase.one(),))
-        b = UnimodSequence((Phase.one(), Phase.one()))
+        a = UnimodSequence([0], 1)
+        b = UnimodSequence([0, 0], 1)
         with pytest.raises(PreconditionError):
             equal_up_to_shift(a, b)
 
@@ -149,7 +160,11 @@ class TestSetFormat:
     @settings(max_examples=25)
     def test_rational_roundtrip_random(self, members):
         s = SequenceSet(tuple(members))
-        assert sequence_set_from_dict(sequence_set_to_dict(s)) == s
+        if math.lcm(*(m.denominator for m in s)) > MAX_DENOMINATOR:
+            with pytest.raises(PreconditionError, match="denominator"):
+                sequence_set_from_dict(sequence_set_to_dict(s))
+        else:
+            assert sequence_set_from_dict(sequence_set_to_dict(s)) == s
 
     def test_float_mode_roundtrip(self):
         s = bjorck_shifts(7).as_sequence_set()
@@ -159,16 +174,168 @@ class TestSetFormat:
         assert np.allclose(back.matrix, s.matrix, atol=1e-15)
 
     def test_declared_shape_checked(self):
-        d = sequence_set_to_dict(SequenceSet((UnimodSequence((Phase.one(),)),)))
+        d = sequence_set_to_dict(SequenceSet((UnimodSequence([0], 1),)))
         d["size"] = 5
         with pytest.raises(PreconditionError):
             sequence_set_from_dict(d)
 
     def test_ragged_members_rejected(self):
         with pytest.raises(PreconditionError):
-            SequenceSet(
-                (
-                    UnimodSequence((Phase.one(),)),
-                    UnimodSequence((Phase.one(), Phase.one())),
-                )
-            )
+            SequenceSet((UnimodSequence([0], 1), UnimodSequence([0, 0], 1)))
+
+
+class TestArrayPhases:
+    def test_canonical_denominator(self):
+        s = UnimodSequence([2, 4, 10], 8)
+        assert s.denominator == 4 and s.phases.tolist() == [1, 2, 1]
+        assert s == UnimodSequence([1, 2, 1], 4)
+        assert UnimodSequence([0, 5], 5).denominator == 1
+
+    def test_entries_are_phases(self):
+        s = UnimodSequence([1, 3], 6)
+        assert s[0] == Phase.rational(1, 6) and s[1] == Phase.rational(1, 2)
+        assert UnimodSequence([1.5])[0] == Phase.radians(1.5)
+
+    def test_rational_and_float_never_equal(self):
+        assert UnimodSequence([0], 1) != UnimodSequence([0.0])
+
+    def test_float_angles_in_unit_range(self):
+        # -1e-20 mod 2*pi rounds to 2*pi itself; it must land on 0
+        s = UnimodSequence([-1e-20, 7.0, -TWO_PI])
+        assert s.phases.tolist() == [0.0, 7.0 % TWO_PI, 0.0]
+        assert Phase.radians(-1e-20) == Phase.radians(0.0) == s[0]
+
+    def test_phases_read_only(self):
+        with pytest.raises(ValueError):
+            UnimodSequence([1, 2], 3).phases[0] = 0
+
+    def test_values_match_per_entry_phases(self, set_7_7):
+        for member in set_7_7:
+            want = [member[t].value for t in range(member.length)]
+            assert np.allclose(member.values, want, rtol=0, atol=1e-15)
+
+    @given(rational_sequences(), rational_phases)
+    def test_scaled_matches_per_entry_products(self, s, c):
+        assert entries(s.scaled(c)) == [c * p for p in entries(s)]
+
+
+def _valid_rational():
+    return sequence_set_to_dict(SequenceSet((UnimodSequence([0, 1, 2], 6),) * 2))
+
+
+def _valid_float():
+    return sequence_set_to_dict(SequenceSet((UnimodSequence([0.5, 1.5, 2.5]),) * 2))
+
+
+def _set_entry(d, value, row=0, col=1):
+    d["members"][row][col] = value
+    return d
+
+
+def _without(key):
+    d = _valid_rational()
+    del d[key]
+    return d
+
+
+MALFORMED = {
+    "nan angle": _set_entry(_valid_float(), float("nan")),
+    "all-nan set": dict(_valid_float(), members=[[float("nan")] * 3] * 2),
+    "infinite angle": _set_entry(_valid_float(), float("-inf")),
+    "bool angle": _set_entry(_valid_float(), True),
+    "string angle": _set_entry(_valid_float(), "1.5"),
+    "bool numerator": _set_entry(_valid_rational(), [True, 2]),
+    "float numerator": _set_entry(_valid_rational(), [1.0, 2]),
+    "string numerator": _set_entry(_valid_rational(), ["1", 2]),
+    "bool denominator": _set_entry(_valid_rational(), [0, True]),
+    "null denominator": _set_entry(_valid_rational(), [1, None]),
+    "zero denominator": _set_entry(_valid_rational(), [1, 0]),
+    "negative denominator": _set_entry(_valid_rational(), [1, -3]),
+    "numerator beyond int64": _set_entry(_valid_rational(), [2**70, 3]),
+    "denominator beyond the bound": _set_entry(_valid_rational(), [1, MAX_DENOMINATOR + 1]),
+    "common denominator beyond the bound": _set_entry(
+        _set_entry(_valid_rational(), [1, 65537]), [1, 65539], col=2
+    ),
+    "ragged members": _set_entry(_valid_rational(), [[0, 1]], row=1, col=slice(None)),
+    "entry of three": _set_entry(_valid_rational(), [1, 2, 3]),
+    "float entry in rational mode": _set_entry(_valid_rational(), 0.5),
+    "members not a list": dict(_valid_rational(), members=7),
+    "length mismatch": dict(_valid_rational(), length=4),
+    "size mismatch": dict(_valid_rational(), size=1),
+    "float size": dict(_valid_rational(), size=2.0),
+    "bool size": dict(_valid_float(), members=[[0.5, 1.5, 2.5]], size=True),
+    "empty members": dict(_valid_float(), members=[], size=0),
+    "unknown mode": dict(_valid_rational(), phase_mode="complex"),
+    "missing length": _without("length"),
+    "missing size": _without("size"),
+    "missing phase_mode": _without("phase_mode"),
+    "missing members": _without("members"),
+    "not an object": [1, 2],
+}
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.text(max_size=3)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def set_dicts(draw):
+    """Set dicts with up to two parts replaced by arbitrary JSON."""
+    broken = draw(st.sets(st.sampled_from(["length", "size", "phase_mode", "members",
+                                           "entries", "drop"]), max_size=2))
+    size, length = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    mode = draw(st.sampled_from(["rational", "float"]))
+    if mode == "rational":
+        entry = st.tuples(st.integers(-50, 50), st.integers(1, 12)).map(list)
+    else:
+        entry = st.floats(-10, 10) | st.integers(-50, 50)
+    if "entries" in broken:
+        entry = entry | json_values
+    rows = st.lists(entry, min_size=length, max_size=length)
+    d = {
+        "length": length,
+        "size": size,
+        "phase_mode": mode,
+        "members": draw(st.lists(rows, min_size=size, max_size=size)),
+    }
+    for key in broken & d.keys():
+        d[key] = draw(json_values)
+    if "drop" in broken:
+        del d[draw(st.sampled_from(sorted(d)))]
+    return d
+
+
+class TestSetFileValidation:
+    def test_bound_is_inclusive(self):
+        d = {"length": 2, "size": 1, "phase_mode": "rational",
+             "members": [[[1, 2], [1, MAX_DENOMINATOR]]]}
+        assert sequence_set_from_dict(d)[0].denominator == MAX_DENOMINATOR
+
+    def test_unreduced_fractions_load(self):
+        d = _set_entry(_valid_rational(), [-2, 4])
+        assert sequence_set_from_dict(d)[0][1] == Phase.rational(1, 2)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED, key=str))
+    def test_malformed_refused(self, case):
+        with pytest.raises(PreconditionError):
+            sequence_set_from_dict(MALFORMED[case])
+
+    @given(set_dicts())
+    @settings(max_examples=300, deadline=None)
+    def test_loads_and_round_trips_or_refuses(self, d):
+        try:
+            s = sequence_set_from_dict(d)
+        except PreconditionError:
+            return
+        back = sequence_set_from_dict(json.loads(json.dumps(sequence_set_to_dict(s))))
+        assert back == s
+        assert sequence_set_to_dict(back) == sequence_set_to_dict(s)

@@ -104,7 +104,7 @@ class TestCyclicDistinct:
         assert rep.witness[2] == 3
 
     def test_singleton_vacuously_distinct(self):
-        s = SequenceSet((UnimodSequence((Phase.one(), Phase.one())),))
+        s = SequenceSet((UnimodSequence([0, 0], 1),))
         assert cyclic_distinct(s).distinct
 
     def test_bad_mode(self, set_7_7):
@@ -131,7 +131,7 @@ class TestEmpiricalZone:
         assert any(zx >= 7 and zy >= 7 for zx, zy in rects)
 
     def test_all_ones_budget_zero(self):
-        ones = SequenceSet((UnimodSequence(tuple(Phase.one() for _ in range(6))),))
+        ones = SequenceSet((UnimodSequence([0] * 6, 1),))
         # every tau != 0 row carries the full sum at v = 0, so only the
         # delay-1 column survives
         assert empirical_zone(ones, 0.0, "periodic") == [(1, 6)]

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,27 +24,10 @@ import numpy as np
 from .errors import PreconditionError
 from .hgen import HMatrix
 from .lpnf import ZFunc
-from .seqcore import SequenceSet, UnimodSequence, Zone, check_kind
+from .seqcore import SCAN_BLOCK_ENTRIES, SequenceSet, UnimodSequence, Zone, check_kind
 
 # |AF| comparisons against integer thresholds, scaled by the sequence length
 MAG_TOL_SCALE = 1e-6
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    if threads is None:
-        env = os.environ.get("LAZ_FORGE_THREADS")
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise PreconditionError(
-                    f"LAZ_FORGE_THREADS must be an integer, got {env!r}"
-                ) from None
-        else:
-            threads = os.cpu_count() or 1
-    if threads < 1:
-        raise PreconditionError("thread count must be positive")
-    return threads
 
 
 def delta_k(x: int, k: int) -> int:
@@ -83,28 +65,63 @@ def aperiodic_af(a: UnimodSequence, b: UnimodSequence, tau: int, v: int) -> comp
     return complex(np.sum(prod * w[ts]))
 
 
-def _masked_product(a: np.ndarray, b: np.ndarray, tau: int, kind: str) -> np.ndarray:
-    """c(t) = a(t) b*(t+tau) with the shift cyclic or zero-padded by kind."""
-    n = len(a)
-    if kind == "periodic":
-        return a * np.conj(np.roll(b, -tau))
-    c = np.zeros(n, dtype=complex)
-    if abs(tau) >= n:
-        return c
-    if tau >= 0:
-        c[: n - tau] = a[: n - tau] * np.conj(b[tau:])
-    else:
-        c[-tau:] = a[-tau:] * np.conj(b[: n + tau])
-    return c
+def _af_blocks(
+    mat: np.ndarray,
+    ii: np.ndarray,
+    jj: np.ndarray,
+    taus: Sequence[int],
+    kind: str,
+    vidx: np.ndarray | slice = slice(None),
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """AF of the row pairs (mat[ii[p]], mat[jj[p]]) at every delay in taus.
+
+    Yields (lo, r, block) with block[q, c] = AF_p(taus[r], vidx[c]) for the
+    pair p = lo + q; each pair sees the delays in order.  A block holds at
+    most SCAN_BLOCK_ENTRIES products a(t) b*(t+tau), the shift cyclic or
+    zero-padded by kind, and each (block, delay) is one inverse FFT call
+    along the rows.
+    """
+    n = mat.shape[1]
+    step = max(1, SCAN_BLOCK_ENTRIES // n)
+    for lo in range(0, len(ii), step):
+        a = mat[ii[lo : lo + step]]
+        bc = np.conj(mat[jj[lo : lo + step]])
+        c = np.empty_like(a)
+        for r, tau in enumerate(taus):
+            if kind == "periodic":
+                t = tau % n
+                np.multiply(a[:, : n - t], bc[:, t:], out=c[:, : n - t])
+                np.multiply(a[:, n - t :], bc[:, :t], out=c[:, n - t :])
+            elif abs(tau) >= n:
+                c[:] = 0
+            elif tau >= 0:
+                np.multiply(a[:, : n - tau], bc[:, tau:], out=c[:, : n - tau])
+                c[:, n - tau :] = 0
+            else:
+                np.multiply(a[:, -tau:], bc[:, : n + tau], out=c[:, -tau:])
+                c[:, :-tau] = 0
+            yield lo, r, n * np.fft.ifft(c, axis=1)[:, vidx]
+
+
+def _pair_rows(
+    a: UnimodSequence,
+    b: UnimodSequence,
+    taus: Sequence[int],
+    kind: str,
+    vidx: np.ndarray | slice = slice(None),
+) -> np.ndarray:
+    """AF_ab(taus[r], vidx[c]) as a (len(taus), len(vidx)) array."""
+    check_kind(kind)
+    if a.length != b.length:
+        raise PreconditionError("sequences must have equal length")
+    mat = np.vstack((a.values, b.values))
+    blocks = _af_blocks(mat, np.array([0]), np.array([1]), taus, kind, vidx)
+    return np.vstack([block for _, _, block in blocks])
 
 
 def af_row(a: UnimodSequence, b: UnimodSequence, tau: int, kind: str) -> np.ndarray:
     """AF(tau, v) for all v in [0, L) by a single length-L transform."""
-    check_kind(kind)
-    if a.length != b.length:
-        raise PreconditionError("sequences must have equal length")
-    c = _masked_product(a.values, b.values, tau, kind)
-    return a.length * np.fft.ifft(c)
+    return _pair_rows(a, b, [tau], kind)[0]
 
 
 @dataclass(frozen=True)
@@ -127,16 +144,11 @@ def af_grid(
     kind: str,
     source: tuple = (),
 ) -> AFGrid:
-    check_kind(kind)
     zone.check_fits(a.length)
-    n = a.length
     delays = zone.delays()
     dopplers = zone.dopplers()
-    vidx = np.asarray(dopplers) % n
-    rows = [af_row(a, b, tau, kind)[vidx] for tau in delays]
-    return AFGrid(
-        delays=delays, dopplers=dopplers, values=np.vstack(rows), source=source
-    )
+    values = _pair_rows(a, b, delays, kind, np.asarray(dopplers) % a.length)
+    return AFGrid(delays=delays, dopplers=dopplers, values=values, source=source)
 
 
 @dataclass(frozen=True)
@@ -156,56 +168,46 @@ class ThetaReport:
     witness: AFWitness | None
 
 
-def _pair_max(args) -> tuple[float, int, int]:
-    mat, i, j, zone, kind = args
-    n = mat.shape[1]
-    vs = np.asarray(zone.dopplers())
-    vidx = vs % n
-    best = (-1.0, 0, 0)
-    for tau in zone.delays():
-        c = _masked_product(mat[i], mat[j], tau, kind)
-        mags = np.abs(n * np.fft.ifft(c))[vidx]
-        if i == j and tau == 0:
-            mags = mags.copy()
-            mags[zone.z_y - 1] = -1.0  # exclude the origin of the auto surface
-        k = int(np.argmax(mags))
-        if mags[k] > best[0]:
-            best = (float(mags[k]), tau, int(vs[k]))
-    return best
-
-
-def theta_max(
-    s: SequenceSet, zone: Zone, kind: str, threads: int | None = None
-) -> ThetaReport:
+def theta_max(s: SequenceSet, zone: Zone, kind: str) -> ThetaReport:
     """Exhaustive max |AF| over the open zone.
 
     The auto maximum excludes (0, 0); the cross maximum scans all ordered
     pairs over the full zone.  Witness ties break lexicographically on
-    (pair, tau, v), so reports are stable across runs and thread counts.
+    (pair, tau, v), so reports are stable across runs and block sizes.
     """
     check_kind(kind)
     zone.check_fits(s.length)
-    workers = resolve_threads(threads)
-    mat = s.matrix
-    pairs = [(i, j) for i in range(s.size) for j in range(s.size)]
-    tasks = [(mat, i, j, zone, kind) for i, j in pairs]
-    if workers == 1:
-        results = [_pair_max(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_pair_max, tasks))
+    m, n = s.size, s.length
+    ii, jj = np.divmod(np.arange(m * m), m)  # ordered pairs, lexicographic
+    delays = zone.delays()
+    vs = np.asarray(zone.dopplers())
+    origin = zone.z_y - 1  # column of v = 0
+    # per pair: the first (tau, v) in order that attains its maximum
+    best = np.full(m * m, -1.0)
+    best_tau = np.zeros(m * m, dtype=np.int64)
+    best_v = np.zeros(m * m, dtype=np.int64)
+    for lo, r, block in _af_blocks(s.matrix, ii, jj, delays, kind, vs % n):
+        mags = np.abs(block)
+        p = slice(lo, lo + len(mags))
+        if delays[r] == 0:
+            mags[ii[p] == jj[p], origin] = -1.0  # exclude the auto origin
+        k = np.argmax(mags, axis=1)
+        top = mags[np.arange(len(k)), k]
+        better = top > best[p]
+        best[p][better] = top[better]
+        best_tau[p][better] = delays[r]
+        best_v[p][better] = vs[k[better]]
 
-    theta_a = theta_c = 0.0
+    auto = ii == jj
+    theta_a = float(best[auto].max(initial=0.0))
+    theta_c = float(best[~auto].max(initial=0.0))
+    w = int(np.argmax(best))  # first pair, in order, with the overall maximum
     witness = None
-    best = -1.0
-    for (i, j), (mag, tau, v) in zip(pairs, results):
-        if i == j:
-            theta_a = max(theta_a, mag)
-        else:
-            theta_c = max(theta_c, mag)
-        if mag > best:
-            best = mag
-            witness = AFWitness(i=i, j=j, tau=tau, v=v, magnitude=mag)
+    if best[w] > -1.0:
+        witness = AFWitness(
+            i=int(ii[w]), j=int(jj[w]), tau=int(best_tau[w]), v=int(best_v[w]),
+            magnitude=float(best[w]),
+        )
     return ThetaReport(
         theta_a=theta_a, theta_c=theta_c, theta_max=max(theta_a, theta_c), witness=witness
     )

@@ -3,8 +3,9 @@
 Subcommands: gen, hgen, lpnf, af, bounds, tables, verify.  Exit codes:
 0 success/pass, 1 verification fail, 2 usage error, 3 precondition error.
 Numeric output uses 9 significant digits so identical inputs produce
-byte-identical files.  LAZ_FORGE_THREADS (or --threads) sets the worker
-count; single-threaded runs produce the same bytes.
+byte-identical files.  `verify --threads` and LAZ_FORGE_THREADS are
+deprecated: they are accepted and ignored, since the scan runs as one
+batched kernel in a single thread.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .ambiguity import af_grid, resolve_threads
+from .ambiguity import af_grid
 from .bounds import optimality_factor
 from .construct import (
     LazParams,
@@ -201,11 +202,11 @@ def _cmd_verify(args) -> int:
         raise PreconditionError(f"no claimed parameters found at {meta_path}")
     meta = read_json(meta_path)
     kinds = ("periodic", "aperiodic") if args.kind == "both" else (args.kind,)
-    threads = resolve_threads(args.threads)
+    distinct = cyclic_distinct(s, mode="phase")
     out = {"certificates": [], "all_pass": True}
     for kind in kinds:
-        params = LazParams.from_dict(meta[kind])
-        cert = certify_laz(s, params, threads=threads)
+        params = LazParams.from_dict(meta.get(kind) if isinstance(meta, dict) else None)
+        cert = certify_laz(s, params, distinct=distinct)
         d = cert.to_dict()
         d["measured_theta"] = _round9(d["measured_theta"])
         if d["witness"]:
@@ -216,7 +217,6 @@ def _cmd_verify(args) -> int:
                     d["bound"][key] = _round9(d["bound"][key])
         out["certificates"].append(d)
         out["all_pass"] &= cert.passed and cert.cyclically_distinct
-    distinct = cyclic_distinct(s, mode="phase")
     out["cyclically_distinct"] = distinct.distinct
     if args.empirical_budget is not None:
         out["empirical_rectangles"] = {
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meta", help="claimed parameters (default: sidecar of --set)")
     p.add_argument("--kind", choices=("periodic", "aperiodic", "both"), default="both")
     p.add_argument("--empirical-budget", type=float)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="deprecated; accepted and ignored")
     p.set_defaults(func=_cmd_verify)
 
     return parser

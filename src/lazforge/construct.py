@@ -50,13 +50,21 @@ class LazParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LazParams":
-        return cls(
-            set_size=d["set_size"],
-            length=d["length"],
-            zone=Zone(d["z_x"], d["z_y"]),
-            theta=d["theta"],
-            kind=d["kind"],
-        )
+        """Parameters from `to_dict` output; a missing field or a value of the
+        wrong type is a PreconditionError."""
+        try:
+            return cls(
+                set_size=d["set_size"],
+                length=d["length"],
+                zone=Zone(d["z_x"], d["z_y"]),
+                theta=d["theta"],
+                kind=d["kind"],
+            )
+        except (KeyError, TypeError) as e:
+            raise PreconditionError(
+                f"claimed parameters need set_size, length, z_x, z_y, theta and kind; "
+                f"got {d!r} ({type(e).__name__}: {e})"
+            ) from None
 
 
 def build_a_matrix(f: ZFunc) -> SequenceSet:

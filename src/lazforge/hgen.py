@@ -26,7 +26,7 @@ from .numth import (
     lfsr_sequence,
     smallest_primitive_polynomial,
 )
-from .seqcore import SequenceSet, UnimodSequence, cyclic_shift
+from .seqcore import SCAN_BLOCK_ENTRIES, SequenceSet, UnimodSequence, cyclic_shift
 
 INNER_TOL = 1e-9
 MODULATED_MARGIN = 1e-6
@@ -65,20 +65,34 @@ class HReport:
 
 
 def verify_h_constraints(h: HMatrix) -> HReport:
-    """Exhaustive scan of both constraints over i != j and 0 <= v < N."""
+    """Exhaustive scan of both constraints over i != j and 0 <= v < N.
+
+    Rows i are scanned in blocks of at most SCAN_BLOCK_ENTRIES products, and
+    only each (i, j)'s maximum over v and its first maximising v are kept.
+    """
     n = h.order
     r = h.matrix
-    prod = r[:, None, :] * np.conj(r)[None, :, :]  # (i, j, n)
-    inner = np.abs(prod.sum(axis=2))
-    modulated = np.abs(n * np.fft.ifft(prod, axis=2))  # v runs along axis 2
+    rc = np.conj(r)
+    inner = np.empty((n, n))
+    mod_max = np.empty((n, n))
+    mod_v = np.empty((n, n), dtype=np.int64)
+    step = max(1, SCAN_BLOCK_ENTRIES // (n * n))
+    for lo in range(0, n, step):
+        prod = r[lo : lo + step, None, :] * rc[None, :, :]  # (i, j, n)
+        rows = slice(lo, lo + len(prod))
+        inner[rows] = np.abs(prod.sum(axis=2))
+        modulated = np.abs(n * np.fft.ifft(prod, axis=2))  # v runs along axis 2
+        mod_max[rows] = modulated.max(axis=2)
+        mod_v[rows] = modulated.argmax(axis=2)
     diag = np.eye(n, dtype=bool)
     inner[diag] = -1.0
-    modulated[diag, :] = -1.0
+    mod_max[diag] = -1.0
 
     i, j = np.unravel_index(int(np.argmax(inner)), inner.shape)
     max_inner = float(inner[i, j])
-    iw, jw, vw = np.unravel_index(int(np.argmax(modulated)), modulated.shape)
-    max_mod = float(modulated[iw, jw, vw])
+    iw, jw = np.unravel_index(int(np.argmax(mod_max)), mod_max.shape)
+    vw = mod_v[iw, jw]
+    max_mod = float(mod_max[iw, jw])
     passed = max_inner <= 1.0 + INNER_TOL and max_mod <= n - MODULATED_MARGIN
     return HReport(
         max_offdiag_inner=max_inner,

@@ -30,6 +30,10 @@ FLOAT_PHASE_TOL = 1e-9
 # largest common denominator of a set file; keeps numerator products in int64
 MAX_DENOMINATOR = 2**31
 
+# complex entries (16 bytes each) per block of the exhaustive ambiguity and
+# companion-matrix scans; bounds their scratch memory whatever the set size
+SCAN_BLOCK_ENTRIES = 2**16
+
 KINDS = ("periodic", "aperiodic")
 
 
@@ -325,9 +329,12 @@ def sequence_set_from_dict(d: dict) -> SequenceSet:
 
 
 def read_json(path: str | Path):
-    """The JSON value stored in a file; any other content is a PreconditionError."""
+    """The JSON value stored in a file; a missing or unreadable file, or any
+    other content, is a PreconditionError."""
     try:
         return json.loads(Path(path).read_text())
+    except OSError as e:
+        raise PreconditionError(f"cannot read {path}: {e.strerror or e}") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise PreconditionError(f"{path} is not valid JSON: {e}") from None
 

@@ -11,7 +11,7 @@ from .ambiguity import (
     AFWitness,
     MAG_TOL_SCALE,
     ThetaReport,
-    _masked_product,
+    _af_blocks,
     theta_max,
 )
 from .bounds import BoundReport, optimality_factor
@@ -78,14 +78,18 @@ class LazCertificate:
 
 
 def certify_laz(
-    s: SequenceSet, params: LazParams, threads: int | None = None
+    s: SequenceSet, params: LazParams, distinct: DistinctReport | None = None
 ) -> LazCertificate:
     """Exhaustively measure theta over the claimed zone and compare against
-    the claim (tolerance 1e-6 times the length)."""
+    the claim (tolerance 1e-6 times the length).
+
+    `distinct` is the set's phase-mode `cyclic_distinct` report when the
+    caller already has it; otherwise it is computed here.
+    """
     if s.size != params.set_size or s.length != params.length:
         raise PreconditionError("set shape does not match the claimed parameters")
     params.zone.check_fits(s.length)
-    report = theta_max(s, params.zone, params.kind, threads=threads)
+    report = theta_max(s, params.zone, params.kind)
     tol = MAG_TOL_SCALE * s.length
     passed = report.theta_max <= params.theta + tol
     try:
@@ -95,46 +99,45 @@ def certify_laz(
         )
     except PreconditionError:
         bound = None  # zone too small for the bound to be informative
-    distinct = cyclic_distinct(s, mode="phase").distinct
+    if distinct is None:
+        distinct = cyclic_distinct(s, mode="phase")
     return LazCertificate(
         claimed=params,
         measured_theta=report.theta_max,
         passed=passed,
         witness=report.witness,
         bound_report=bound,
-        cyclically_distinct=distinct,
+        cyclically_distinct=distinct.distinct,
         theta_report=report,
     )
 
 
-def _magnitude_grids(s: SequenceSet, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Max |AF| grids over auto and cross pairs, indexed [|tau|][|v|].
+def _magnitude_grid(s: SequenceSet, kind: str) -> np.ndarray:
+    """Max |AF| over all pairs, the origin of auto surfaces excluded,
+    indexed [|tau|][|v|].
 
     Entry (x, y) is the max over tau in {x, -x} and v in {y, -y}; for the
-    periodic kind negative delays wrap modulo the length.
+    periodic kind negative delays wrap modulo the length.  Only pairs i <= j
+    are scanned: |AF_ab(-tau, -v)| = |AF_ba(tau, v)|, and the fold covers
+    both signs.  The running max is over [tau, v] and is folded once at the
+    end, since the max over pairs commutes with the fold.
     """
-    mat = s.matrix
     n = s.length
-    auto = np.zeros((n, n))
-    cross = np.zeros((n, n))
+    ii, jj = np.triu_indices(s.size)
     taus = range(n) if kind == "periodic" else range(-n + 1, n)
-    for i in range(s.size):
-        for j in range(s.size):
-            rows = np.empty((len(taus), n))
-            for r, tau in enumerate(taus):
-                c = _masked_product(mat[i], mat[j], tau, kind)
-                rows[r] = np.abs(n * np.fft.ifft(c))
-            # fold tau and -tau onto |tau|, v and -v onto |v|
-            if kind == "periodic":
-                by_abs_tau = np.maximum(rows, np.roll(rows[::-1], 1, axis=0))
-            else:
-                pos = rows[n - 1 :]
-                neg = rows[n - 1 :: -1]
-                by_abs_tau = np.maximum(pos, neg)
-            folded = np.maximum(by_abs_tau, np.roll(by_abs_tau[:, ::-1], 1, axis=1))
-            target = auto if i == j else cross
-            np.maximum(target, folded, out=target)
-    return auto, cross
+    rows = np.zeros((len(taus), n))
+    for lo, r, block in _af_blocks(s.matrix, ii, jj, taus, kind):
+        mags = np.abs(block)
+        if taus[r] == 0:
+            p = slice(lo, lo + len(mags))
+            mags[ii[p] == jj[p], 0] = 0.0  # exclude the auto origin
+        np.maximum(rows[r], mags.max(axis=0), out=rows[r])
+    # fold tau and -tau onto |tau|, v and -v onto |v|
+    if kind == "periodic":
+        by_abs_tau = np.maximum(rows, np.roll(rows[::-1], 1, axis=0))
+    else:
+        by_abs_tau = np.maximum(rows[n - 1 :], rows[n - 1 :: -1])
+    return np.maximum(by_abs_tau, np.roll(by_abs_tau[:, ::-1], 1, axis=1))
 
 
 def empirical_zone(
@@ -143,13 +146,12 @@ def empirical_zone(
     """Pareto-maximal open rectangles (-Z_x, Z_x) x (-Z_y, Z_y) whose interior
     (minus the origin for auto surfaces) stays within the budget.
 
-    Scans the full delay-Doppler grid, so runtime is O(M^2 L^2 log L).
+    Scans the full delay-Doppler grid of every unordered pair, so runtime is
+    O(M^2 L^2 log L).
     """
     if theta_budget < 0:
         raise PreconditionError("budget must be nonnegative")
-    auto, cross = _magnitude_grids(s, kind)
-    auto[0, 0] = -1.0  # origin excluded on auto surfaces only
-    grid = np.maximum(auto, cross)
+    grid = _magnitude_grid(s, kind)
     prefix = np.maximum.accumulate(np.maximum.accumulate(grid, axis=0), axis=1)
     tol = MAG_TOL_SCALE * s.length
     ok = prefix <= theta_budget + tol

@@ -1,8 +1,9 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lazforge import (
@@ -13,8 +14,10 @@ from lazforge import (
     af_grid,
     af_row,
     aperiodic_af,
+    build_laz_set,
     delta_k,
     legendre_shifts,
+    make_hmatrix,
     msequence_shifts,
     periodic_af,
     quad_lpnf,
@@ -176,10 +179,50 @@ class TestThetaMax:
         got = periodic_af(set_7_7[w.i], set_7_7[w.j], w.tau, w.v)
         assert abs(got) == pytest.approx(w.magnitude, abs=1e-12)
 
-    def test_threads_do_not_change_result(self, set_7_11):
-        one = theta_max(set_7_11, Zone(7, 5), "aperiodic", threads=1)
-        four = theta_max(set_7_11, Zone(7, 5), "aperiodic", threads=4)
-        assert one == four
+    @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
+    def test_block_size_does_not_change_result(self, set_7_11, kind, monkeypatch):
+        # one pair per block, and blocks that split the 49 pairs unevenly
+        whole = theta_max(set_7_11, Zone(7, 5), kind)
+        for entries_per_block in (1, 77 * 5):
+            monkeypatch.setattr("lazforge.ambiguity.SCAN_BLOCK_ENTRIES", entries_per_block)
+            assert theta_max(set_7_11, Zone(7, 5), kind) == whole
+
+    @given(
+        # every companion family at an order where it passes its constraints
+        n_h=st.sampled_from([(5, "dft"), (7, "dft"), (7, "legendre"), (7, "mseq"),
+                             (7, "bjorck")]),
+        a2=st.integers(1, 6),
+        a1=st.integers(0, 6),
+        k_extra=st.integers(0, 6),
+        z_x=st.integers(1, 4),
+        z_y=st.integers(1, 4),
+        kind=st.sampled_from(["periodic", "aperiodic"]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_pointwise_scan(self, n_h, a2, a1, k_extra, z_x, z_y, kind):
+        # the batched kernel against |AF| summed directly at every zone point
+        n, h = n_h
+        assume(math.gcd(a2, n) == 1 and a1 < n)
+        s = build_laz_set(quad_lpnf(n, a2, a1, n + k_extra), make_hmatrix(h, n))
+        zone = Zone(z_x, z_y)
+        rep = theta_max(s, zone, kind)
+        direct = periodic_af if kind == "periodic" else aperiodic_af
+        theta = {True: 0.0, False: 0.0}  # auto, cross
+        for i in range(n):
+            for j in range(n):
+                for tau in zone.delays():
+                    for v in zone.dopplers():
+                        if i == j and tau == 0 and v == 0:
+                            continue
+                        mag = abs(direct(s[i], s[j], tau, v))
+                        theta[i == j] = max(theta[i == j], mag)
+        assert rep.theta_a == pytest.approx(theta[True], abs=1e-9)
+        assert rep.theta_c == pytest.approx(theta[False], abs=1e-9)
+        w = rep.witness
+        assert (w.i == w.j, w.tau, w.v) != (True, 0, 0)
+        assert abs(w.tau) < z_x and abs(w.v) < z_y
+        assert w.magnitude == rep.theta_max
+        assert abs(direct(s[w.i], s[w.j], w.tau, w.v)) == pytest.approx(w.magnitude, abs=1e-9)
 
     def test_zone_must_fit(self, set_7_7):
         with pytest.raises(PreconditionError):

@@ -239,6 +239,32 @@ class TestFailClosedLoading:
         )
         assert code == 3 and err.startswith("error:")
 
+    @pytest.mark.parametrize("meta", [
+        {"periodic": {}, "aperiodic": {}},
+        {"periodic": {"set_size": 7, "length": 49, "z_x": 7, "z_y": 7, "theta": 7.0}},
+        {"aperiodic": None},
+        {},
+        [1, 2],
+    ])
+    def test_verify_refuses_meta_missing_a_key(self, files, capsys, tmp_path, meta):
+        path = tmp_path / "partial.meta.json"
+        path.write_text(json.dumps(meta))
+        code, stdout, err = run(
+            capsys, "verify", "--set", str(files["good"]), "--meta", str(path)
+        )
+        assert (code, stdout) == (3, "") and err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--set", "{missing}"],
+        ["verify", "--set", "{good}", "--meta", "{missing}"],
+        ["af", "--set", "{missing}", "--kind", "periodic", "--zx", "2", "--zy", "2"],
+        ["hgen", "verify", "{missing}"],
+    ])
+    def test_missing_file_is_refused(self, files, capsys, tmp_path, argv):
+        paths = {"missing": tmp_path / "nosuch.json", "good": files["good"]}
+        code, stdout, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert (code, stdout) == (3, "") and err.startswith("error:")
+
     @pytest.mark.parametrize("bad", ["square_nan", "truncated"])
     def test_hgen_verify_refuses_bad_matrix(self, files, capsys, bad):
         assert run(capsys, "hgen", "verify", str(files[bad]))[0] == 3

@@ -150,6 +150,17 @@ class TestVerifier:
         assert i != j and v == 0
         assert abs(rep.max_offdiag_inner - 4) < 1e-12
 
+    @pytest.mark.parametrize("kind,order", [("dft", 31), ("legendre", 23), ("bjorck", 29),
+                                            ("mseq", 15), ("bjorck", 5)])
+    def test_row_blocks_do_not_change_report(self, kind, order, monkeypatch):
+        # one row per block, and blocks that split the rows unevenly, against
+        # the whole matrix in one block
+        h = make_hmatrix(kind, order)
+        whole = verify_h_constraints(h)
+        for entries_per_block in (1, 4 * order * order):
+            monkeypatch.setattr("lazforge.hgen.SCAN_BLOCK_ENTRIES", entries_per_block)
+            assert verify_h_constraints(h) == whole
+
     def test_from_set_requires_square(self, set_7_7):
         with pytest.raises(PreconditionError):
             hmatrix_from_set(set_7_7)

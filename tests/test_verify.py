@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from lazforge import (
@@ -125,7 +126,53 @@ class TestCyclicDistinct:
         assert cyclic_distinct(set_7_7, "phase").distinct
 
 
+def direct_rectangles(s, budgets, kind):
+    """empirical_zone's answer for each budget, from a grid of |AF| summed
+    directly over every ordered pair, delay and Doppler bin."""
+    n = s.length
+    t = np.arange(n)
+    dft = np.exp(2j * np.pi * np.outer(t, t) / n)  # [t, v]
+    taus = np.arange(-n + 1, n)[:, None]
+    shifted = t[None, :] + taus  # [tau, t]
+    inside = np.ones(shifted.shape, bool) if kind == "periodic" else (shifted >= 0) & (shifted < n)
+    grid = np.zeros((2 * n - 1, n))  # [tau + n - 1, v mod n]
+    for i in range(s.size):
+        for j in range(s.size):
+            prod = s.matrix[i][None, :] * np.conj(s.matrix[j][shifted % n]) * inside
+            mags = np.abs(prod @ dft)
+            if i == j:
+                mags[n - 1, 0] = 0.0  # the auto origin is not scanned
+            grid = np.maximum(grid, mags)
+    # folded[x, y]: max over tau in {x, -x} and v in {y, -y}
+    folded = np.maximum(grid[n - 1 :], grid[n - 1 :: -1])
+    folded = np.maximum(folded, folded[:, (-t) % n])
+    out = []
+    for budget in budgets:
+        thr = budget + MAG_TOL_SCALE * n
+        clean = np.zeros((n + 2, n + 2), bool)  # clean[z_x, z_y]
+        for z_x in range(1, n + 1):
+            for z_y in range(1, n + 1):
+                clean[z_x, z_y] = folded[:z_x, :z_y].max() <= thr
+        out.append([(x, y) for x in range(1, n + 1) for y in range(1, n + 1)
+                    if clean[x, y] and not clean[x + 1, y] and not clean[x, y + 1]])
+    return out
+
+
 class TestEmpiricalZone:
+    @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
+    @pytest.mark.parametrize("shape", ["5x25", "7x49", "random 5x25"])
+    def test_matches_direct_sum_grid(self, shape, kind, set_7_7):
+        if shape == "7x49":
+            s, k = set_7_7, 7
+        elif shape == "5x25":
+            s, k = build_laz_set(quad_lpnf(5, 2, 1, 5), dft_submatrix(5)), 5
+        else:  # no zone structure, so the fronts have many corners
+            rng = np.random.default_rng(5)
+            s, k = SequenceSet(tuple(UnimodSequence(2 * np.pi * rng.random(25)) for _ in range(5))), 10
+        budgets = [0.0, k / 2, k, k + 1, k + 2, k + 3, 2 * k]
+        want = direct_rectangles(s, budgets, kind)
+        assert [empirical_zone(s, b, kind) for b in budgets] == want
+
     def test_reference_set_contains_guaranteed_zone(self, set_7_7):
         rects = empirical_zone(set_7_7, 7.0, "periodic")
         assert any(zx >= 7 and zy >= 7 for zx, zy in rects)

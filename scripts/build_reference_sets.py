@@ -18,8 +18,7 @@ from lazforge import (
     asymptotic_rho,
     build_laz_set,
     certify_laz,
-    dft_submatrix,
-    legendre_shifts,
+    make_hmatrix,
     predicted_params,
     quad_lpnf,
     save_sequence_set,
@@ -27,12 +26,12 @@ from lazforge import (
 from lazforge.tables import REPORTED_SHOWCASE_FACTORS
 
 
-def showcase(n, k, h, outdir):
+def showcase(n, k, h_kind, outdir):
     f = quad_lpnf(n, 1, 0, k)
-    s = build_laz_set(f, h)
+    s = build_laz_set(f, make_hmatrix(h_kind, n))
     path = outdir / f"set_{n}x{s.length}.json"
     save_sequence_set(s, path)
-    print(f"\n== {s.size} sequences of length {s.length} ({h.provenance}) -> {path}")
+    print(f"\n== {s.size} sequences of length {s.length} ({h_kind}) -> {path}")
     for kind in ("periodic", "aperiodic"):
         t0 = time.perf_counter()
         params = predicted_params(n, k, kind)
@@ -58,8 +57,8 @@ def showcase(n, k, h, outdir):
 def main():
     outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out")
     outdir.mkdir(parents=True, exist_ok=True)
-    showcase(7, 7, legendre_shifts(7), outdir)
-    showcase(35, 35, dft_submatrix(35), outdir)
+    showcase(7, 7, "legendre", outdir)
+    showcase(35, 35, "dft", outdir)
 
 
 if __name__ == "__main__":

@@ -14,9 +14,8 @@ import sys
 
 from lazforge import (
     build_laz_set,
-    dft_submatrix,
     empirical_zone,
-    legendre_shifts,
+    make_hmatrix,
     predicted_params,
     quad_lpnf,
 )
@@ -27,9 +26,9 @@ def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 7
     k = int(sys.argv[2]) if len(sys.argv) > 2 else n
     f = quad_lpnf(n, 1, 0, k)
-    h = legendre_shifts(n) if (is_prime(n) and n % 4 == 3) else dft_submatrix(n)
-    s = build_laz_set(f, h)
-    print(f"{s.size} sequences of length {s.length} ({h.provenance})")
+    h_kind = "legendre" if (is_prime(n) and n % 4 == 3) else "dft"
+    s = build_laz_set(f, make_hmatrix(h_kind, n))
+    print(f"{s.size} sequences of length {s.length} ({h_kind})")
     for kind in ("periodic", "aperiodic"):
         params = predicted_params(n, k, kind)
         guaranteed = (params.zone.z_x, params.zone.z_y)

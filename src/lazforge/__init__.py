@@ -2,13 +2,11 @@
 sequence sets built from locally perfect nonlinear functions."""
 
 from .ambiguity import (
-    AFGrid,
     AFWitness,
     ThetaReport,
     af_grid,
     af_row,
     aperiodic_af,
-    delta_k,
     periodic_af,
     structural_af,
     theta_max,
@@ -32,11 +30,9 @@ from .construct import (
 )
 from .errors import PreconditionError
 from .hgen import (
-    HMatrix,
     HReport,
     bjorck_shifts,
     dft_submatrix,
-    hmatrix_from_set,
     legendre_shifts,
     make_hmatrix,
     msequence_shifts,
@@ -44,7 +40,6 @@ from .hgen import (
     verify_h_constraints,
 )
 from .lpnf import (
-    LocalZone,
     ZFunc,
     diff_table,
     is_lpnf,

@@ -22,19 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .hgen import HMatrix
 from .lpnf import ZFunc
 from .seqcore import SCAN_BLOCK_ENTRIES, SequenceSet, UnimodSequence, Zone, check_kind
 
 # |AF| comparisons against integer thresholds, scaled by the sequence length
 MAG_TOL_SCALE = 1e-6
-
-
-def delta_k(x: int, k: int) -> int:
-    """K when x = 0 mod K, else 0."""
-    if k < 1:
-        raise PreconditionError("modulus must be positive")
-    return k if x % k == 0 else 0
 
 
 def _doppler_vector(length: int, v: int) -> np.ndarray:
@@ -124,31 +116,11 @@ def af_row(a: UnimodSequence, b: UnimodSequence, tau: int, kind: str) -> np.ndar
     return _pair_rows(a, b, [tau], kind)[0]
 
 
-@dataclass(frozen=True)
-class AFGrid:
-    """AF values over an open delay-Doppler rectangle."""
-
-    delays: range
-    dopplers: range
-    values: np.ndarray  # shape (len(delays), len(dopplers))
-    source: tuple
-
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
-
-
-def af_grid(
-    a: UnimodSequence,
-    b: UnimodSequence,
-    zone: Zone,
-    kind: str,
-    source: tuple = (),
-) -> AFGrid:
+def af_grid(a: UnimodSequence, b: UnimodSequence, zone: Zone, kind: str) -> np.ndarray:
+    """AF_ab over the open zone as a (len(zone.delays()), len(zone.dopplers()))
+    array, rows in delay order and columns in Doppler order."""
     zone.check_fits(a.length)
-    delays = zone.delays()
-    dopplers = zone.dopplers()
-    values = _pair_rows(a, b, delays, kind, np.asarray(dopplers) % a.length)
-    return AFGrid(delays=delays, dopplers=dopplers, values=values, source=source)
+    return _pair_rows(a, b, zone.delays(), kind, np.asarray(zone.dopplers()) % a.length)
 
 
 @dataclass(frozen=True)
@@ -233,20 +205,21 @@ def _inner_aperiodic(e: int, d: int, fm: int, k: int) -> complex:
 
 
 def structural_af(
-    f: ZFunc, h: HMatrix, i: int, j: int, tau: int, v: int, kind: str
+    f: ZFunc, h: SequenceSet, i: int, j: int, tau: int, v: int, kind: str
 ) -> complex:
     """AF of the interleaved pair (s_i, s_j) evaluated without materializing
     the sequences.
 
     Splitting tau = N*tau1 + tau2 (0 <= tau2 < N) reduces each AF value to a
     length-N sum whose terms carry a base-row AF factor: a scaled delta for
-    the periodic kind, a truncated geometric sum for the aperiodic kind.
-    Exists as an independent oracle against direct evaluation.
+    the periodic kind, a truncated geometric sum for the aperiodic kind; h is
+    the N x N companion matrix.  Exists as an independent oracle against
+    direct evaluation.
     """
     check_kind(kind)
     n, k = f.domain_size, f.codomain_size
-    if h.order != n:
-        raise PreconditionError("companion matrix order must match the domain size")
+    if h.size != n or h.length != n:
+        raise PreconditionError("companion matrix must be N x N for the domain size N")
     total_len = n * k
 
     if kind == "aperiodic":

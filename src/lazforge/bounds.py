@@ -34,7 +34,13 @@ def classify_regime(n: int, k: int) -> str:
     return REGIME_WIDE
 
 
+def _check_sizes(m: int, n_len: int, z_x: int, z_y: int) -> None:
+    if min(m, n_len, z_x, z_y) < 1:
+        raise PreconditionError("set size, length and zone half-widths must be positive")
+
+
 def periodic_lower_bound(m: int, n_len: int, z_x: int, z_y: int) -> float:
+    _check_sizes(m, n_len, z_x, z_y)
     if m * z_x <= 1:
         raise PreconditionError("need M * Z_x > 1")
     radicand = (m * z_x * z_y / n_len - 1.0) / (m * z_x - 1.0)
@@ -44,6 +50,7 @@ def periodic_lower_bound(m: int, n_len: int, z_x: int, z_y: int) -> float:
 
 
 def aperiodic_lower_bound(m: int, n_len: int, z_x: int, z_y: int) -> float:
+    _check_sizes(m, n_len, z_x, z_y)
     if m * z_x <= 1:
         raise PreconditionError("need M * Z_x > 1")
     num = m * z_x * z_y - n_len - z_x + 1.0
@@ -67,6 +74,8 @@ def optimality_factor(
 ) -> BoundReport:
     """theta over the applicable lower bound, with the regime of the
     constructed family inferred from (M, length) when length = M*K."""
+    if not (math.isfinite(theta) and theta > 0):
+        raise PreconditionError(f"theta must be finite and positive, got {theta}")
     if kind == "periodic":
         bound = periodic_lower_bound(m, n_len, z_x, z_y)
     elif kind == "aperiodic":

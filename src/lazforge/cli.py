@@ -2,10 +2,10 @@
 
 Subcommands: gen, hgen, lpnf, af, bounds, tables, verify.  Exit codes:
 0 success/pass, 1 verification fail, 2 usage error, 3 precondition error.
-Numeric output uses 9 significant digits so identical inputs produce
-byte-identical files.  `verify --threads` and LAZ_FORGE_THREADS are
-deprecated: they are accepted and ignored, since the scan runs as one
-batched kernel in a single thread.
+Bad input never exits 0 or 1: an argument that does not parse is a usage
+error; a malformed or non-finite set, meta file, size, theta or budget is a
+precondition error.  Numeric output uses 9 significant digits so identical
+inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from .construct import (
     predicted_params,
 )
 from .errors import PreconditionError
-from .hgen import hmatrix_from_set, make_hmatrix, verify_h_constraints
+from .hgen import make_hmatrix, verify_h_constraints
 from .lpnf import (
-    LocalZone,
     diff_table,
     lpnf_zone_for,
     nonlinearity_witness,
@@ -102,11 +101,11 @@ def _cmd_hgen(args) -> int:
             print("usage: lazforge hgen [verify FILE] [--kind KIND --n N [-o FILE]]",
                   file=sys.stderr)
             return 2
-        h = hmatrix_from_set(load_sequence_set(args.mode[1]))
+        h = load_sequence_set(args.mode[1])
         report = verify_h_constraints(h)
         _json_out(
             {
-                "order": h.order,
+                "order": h.size,
                 "max_offdiag_inner": _round9(report.max_offdiag_inner),
                 "max_modulated": _round9(report.max_modulated),
                 "pass": report.passed,
@@ -118,19 +117,18 @@ def _cmd_hgen(args) -> int:
     if args.kind is None or args.n is None:
         print("error: --kind and --n are required to generate", file=sys.stderr)
         return 2
-    h = make_hmatrix(args.kind, args.n)
-    _json_out(sequence_set_to_dict(h.as_sequence_set()), args.output)
+    _json_out(sequence_set_to_dict(make_hmatrix(args.kind, args.n)), args.output)
     return 0
 
 
 def _cmd_lpnf(args) -> int:
     f, family = _build_function(args)
     if args.zx is not None and args.zy is not None:
-        zone = LocalZone(args.zx, args.zy)
+        zone = Zone(args.zx, args.zy)
     elif family[0] == "quad":
         zone = lpnf_zone_for(family[1], family[2])
     else:
-        zone = LocalZone(f.domain_size, f.codomain_size)
+        zone = Zone(f.domain_size, f.codomain_size)
     count, a, b = nonlinearity_witness(f, zone)
     print(f"P_f = {count} over zone ({zone.z_x},{zone.z_y}); witness a={a} b={b}")
     if args.diff_csv:
@@ -147,11 +145,12 @@ def _cmd_af(args) -> int:
     i, j = args.pair
     if not (0 <= i < s.size and 0 <= j < s.size):
         raise PreconditionError(f"pair indices out of range for set of size {s.size}")
-    grid = af_grid(s[i], s[j], Zone(args.zx, args.zy), args.kind, source=(i, j))
+    zone = Zone(args.zx, args.zy)
+    grid = af_grid(s[i], s[j], zone, args.kind)
     lines = ["tau,v,re,im,mag"]
-    for r, tau in enumerate(grid.delays):
-        for c, v in enumerate(grid.dopplers):
-            z = grid.values[r, c]
+    for r, tau in enumerate(zone.delays()):
+        for c, v in enumerate(zone.dopplers()):
+            z = grid[r, c]
             lines.append(f"{tau},{v},{z.real:.9g},{z.imag:.9g},{abs(z):.9g}")
     text = "\n".join(lines) + "\n"
     if args.output:
@@ -177,10 +176,16 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _table_ids(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+
+
 def _cmd_tables(args) -> int:
-    ids = [int(x) for x in args.id.split(",")]
     all_pass = True
-    for tid in ids:
+    for tid in args.id:
         checks = reproduce_table(tid)
         print(f"table {tid}:")
         for c in checks:
@@ -286,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("tables", help="recompute reference tables")
-    p.add_argument("--id", required=True, help="comma-separated table ids (1,2,4,5)")
+    p.add_argument("--id", type=_table_ids, required=True,
+                   help="comma-separated table ids (1,2,4,5)")
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("verify", help="certify a set against its claimed parameters")
@@ -294,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--meta", help="claimed parameters (default: sidecar of --set)")
     p.add_argument("--kind", choices=("periodic", "aperiodic", "both"), default="both")
     p.add_argument("--empirical-budget", type=float)
-    p.add_argument("--threads", type=int, help="deprecated; accepted and ignored")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .hgen import HMatrix, verify_h_constraints
+from .hgen import verify_h_constraints
 from .lpnf import ZFunc, lpnf_zone_for
 from .numth import smallest_prime_factor
 from .seqcore import TWO_PI, SequenceSet, UnimodSequence, Zone, check_kind
@@ -35,8 +35,8 @@ class LazParams:
 
     def __post_init__(self):
         check_kind(self.kind)
-        if self.theta <= 0:
-            raise PreconditionError("theta must be positive")
+        if not (math.isfinite(self.theta) and self.theta > 0):
+            raise PreconditionError(f"theta must be finite and positive, got {self.theta}")
 
     def to_dict(self) -> dict:
         return {
@@ -90,13 +90,13 @@ def deinterleave(u: UnimodSequence, m: int) -> list[UnimodSequence]:
     return [UnimodSequence(u.phases[i::m], u.denominator) for i in range(m)]
 
 
-def build_laz_set(f: ZFunc, h: HMatrix) -> SequenceSet:
-    """The interleaved sequence set for f and a verified companion matrix:
-    s_n(t*N + m) = h_n(m) * w_K^{t f(m)}."""
+def build_laz_set(f: ZFunc, h: SequenceSet) -> SequenceSet:
+    """The interleaved sequence set for f and a verified N x N companion
+    matrix h: s_n(t*N + m) = h_n(m) * w_K^{t f(m)}."""
     n, k = f.domain_size, f.codomain_size
-    if h.order != n:
+    if h.size != n:
         raise PreconditionError(
-            f"companion matrix order {h.order} != function domain size {n}"
+            f"companion matrix order {h.size} != function domain size {n}"
         )
     report = verify_h_constraints(h)
     if not report.passed:
@@ -107,7 +107,7 @@ def build_laz_set(f: ZFunc, h: HMatrix) -> SequenceSet:
         )
     t, m = (a.ravel() for a in np.indices((k, n)))
     base = (t * np.asarray(f.table)[m]) % k  # w_K^{t f(m)} in turns of 1/K
-    h_phases, h_den = h.as_sequence_set().stacked_phases()
+    h_phases, h_den = h.stacked_phases()
     if h_den is None:
         d, rows = None, h_phases[:, m] + TWO_PI * (base / k)
     else:
@@ -130,7 +130,7 @@ def predicted_params(n: int, k: int, kind: str) -> LazParams:
     return LazParams(
         set_size=n,
         length=n * k,
-        zone=Zone(zone.z_x, zone.z_y),
+        zone=zone,
         theta=float(theta),
         kind=kind,
     )

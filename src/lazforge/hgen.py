@@ -1,5 +1,5 @@
 """Generators and the verifier for the N x N companion matrix used to
-modulate interleaved columns.
+modulate interleaved columns: a square SequenceSet whose members are its rows.
 
 A companion matrix must satisfy, for all row pairs i != j and 0 <= v < N:
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,29 +32,6 @@ MODULATED_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
-class HMatrix:
-    """Square unimodular matrix whose rows modulate interleaved columns."""
-
-    order: int
-    rows: tuple[UnimodSequence, ...]
-    provenance: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if len(self.rows) != self.order:
-            raise PreconditionError("row count must equal the order")
-        if any(r.length != self.order for r in self.rows):
-            raise PreconditionError("rows must have length equal to the order")
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return np.vstack([r.values for r in self.rows])
-
-    def as_sequence_set(self) -> SequenceSet:
-        return SequenceSet(self.rows)
-
-
-@dataclass(frozen=True)
 class HReport:
     max_offdiag_inner: float
     max_modulated: float
@@ -64,13 +40,16 @@ class HReport:
     modulated_witness: tuple[int, int, int] | None
 
 
-def verify_h_constraints(h: HMatrix) -> HReport:
+def verify_h_constraints(h: SequenceSet) -> HReport:
     """Exhaustive scan of both constraints over i != j and 0 <= v < N.
 
-    Rows i are scanned in blocks of at most SCAN_BLOCK_ENTRIES products, and
-    only each (i, j)'s maximum over v and its first maximising v are kept.
+    A set that is not square is a PreconditionError.  Rows i are scanned in
+    blocks of at most SCAN_BLOCK_ENTRIES products, and only each (i, j)'s
+    maximum over v and its first maximising v are kept.
     """
-    n = h.order
+    n = h.size
+    if h.length != n:
+        raise PreconditionError(f"companion matrix must be square, got {n} x {h.length}")
     r = h.matrix
     rc = np.conj(r)
     inner = np.empty((n, n))
@@ -103,13 +82,11 @@ def verify_h_constraints(h: HMatrix) -> HReport:
     )
 
 
-def _shift_rows(row0: UnimodSequence, provenance: str) -> HMatrix:
-    n = row0.length
-    rows = tuple(cyclic_shift(row0, i) for i in range(n))
-    return HMatrix(order=n, rows=rows, provenance=provenance)
+def _shift_rows(row0: UnimodSequence) -> SequenceSet:
+    return SequenceSet(tuple(cyclic_shift(row0, i) for i in range(row0.length)))
 
 
-def dft_submatrix(n: int) -> HMatrix:
+def dft_submatrix(n: int) -> SequenceSet:
     """Drop the last row and column of the (N+1)-point DFT matrix.
 
     Off-diagonal row inner products then have magnitude exactly 1: the full
@@ -118,11 +95,11 @@ def dft_submatrix(n: int) -> HMatrix:
     """
     if n < 2:
         raise PreconditionError("order must be at least 2")
-    rows = tuple(UnimodSequence(row, n + 1) for row in np.outer(range(n), range(n)) % (n + 1))
-    return HMatrix(order=n, rows=rows, provenance="dft_submatrix")
+    turns = np.outer(range(n), range(n)) % (n + 1)
+    return SequenceSet(tuple(UnimodSequence(row, n + 1) for row in turns))
 
 
-def legendre_shifts(n: int) -> HMatrix:
+def legendre_shifts(n: int) -> SequenceSet:
     """Cyclic shifts of the +-1 quadratic-residue sequence of prime length.
 
     Only p = 3 (mod 4) passes the verifier: for p = 1 (mod 4) the off-peak
@@ -131,10 +108,10 @@ def legendre_shifts(n: int) -> HMatrix:
     if not is_prime(n) or n == 2:
         raise PreconditionError("length must be an odd prime")
     minus = [t != 0 and legendre_symbol(t, n) != 1 for t in range(n)]
-    return _shift_rows(UnimodSequence(minus, 2), "legendre")
+    return _shift_rows(UnimodSequence(minus, 2))
 
 
-def msequence_shifts(m: int, poly_mask: int | None = None) -> HMatrix:
+def msequence_shifts(m: int, poly_mask: int | None = None) -> SequenceSet:
     """Cyclic shifts of the +-1 maximal-length sequence of period 2^m - 1.
 
     The default polynomial is the lexicographically smallest primitive one of
@@ -144,10 +121,10 @@ def msequence_shifts(m: int, poly_mask: int | None = None) -> HMatrix:
         raise PreconditionError("degree must be at least 2")
     if poly_mask is None:
         poly_mask = smallest_primitive_polynomial(m)
-    return _shift_rows(UnimodSequence(lfsr_sequence(m, poly_mask), 2), "msequence")
+    return _shift_rows(UnimodSequence(lfsr_sequence(m, poly_mask), 2))
 
 
-def bjorck_shifts(p: int) -> HMatrix:
+def bjorck_shifts(p: int) -> SequenceSet:
     """Cyclic shifts of the Björck sequence of odd prime length.
 
     p = 1 (mod 4): entries exp(i*theta*chi(t)) with theta = arccos(1/(1+sqrt p)).
@@ -163,13 +140,7 @@ def bjorck_shifts(p: int) -> HMatrix:
     else:
         theta = math.acos((1.0 - p) / (1.0 + p))
         angles = [theta if legendre_symbol(t, p) == -1 else 0.0 for t in range(p)]
-    return _shift_rows(UnimodSequence(angles), "bjorck")
-
-
-def hmatrix_from_set(s: SequenceSet, provenance: str = "custom") -> HMatrix:
-    if s.size != s.length:
-        raise PreconditionError("companion matrix must be square")
-    return HMatrix(order=s.size, rows=s.members, provenance=provenance)
+    return _shift_rows(UnimodSequence(angles))
 
 
 def supported_orders(kind: str, limit: int = 127) -> list[int]:
@@ -196,7 +167,7 @@ GENERATORS = {
 }
 
 
-def make_hmatrix(kind: str, order: int) -> HMatrix:
+def make_hmatrix(kind: str, order: int) -> SequenceSet:
     """Build a companion matrix of the given order by family name.
 
     For mseq the order must be 2^m - 1; the degree is inferred.

@@ -2,7 +2,8 @@
 
 A function table f is locally perfect nonlinear over a zone C x D when every
 difference equation f(x+a) - f(x) = b with a in C\\{0}, b in D has at most one
-solution x.  The measure below is computed by brute force; the quadratic and
+solution x.  The zone is a seqcore.Zone, C = (-z_x, z_x) and D = (-z_y, z_y):
+the delay-Doppler zone that the construction guarantees.  The measure below is computed by brute force; the quadratic and
 power families ship with the zones on which they provably achieve measure 1.
 """
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .numth import is_prime, is_primitive_root, smallest_prime_factor
+from .seqcore import Zone
 
 
 @dataclass(frozen=True)
@@ -37,18 +39,6 @@ class ZFunc:
         return self.table[x % self.domain_size]
 
 
-@dataclass(frozen=True)
-class LocalZone:
-    """Open difference zone C x D = (-z_x, z_x) x (-z_y, z_y)."""
-
-    z_x: int
-    z_y: int
-
-    def __post_init__(self):
-        if self.z_x < 1 or self.z_y < 1:
-            raise PreconditionError("zone half-widths must be positive")
-
-
 def diff_table(f: ZFunc, a: int) -> tuple[int, ...]:
     """Entry x is (f(x+a) - f(x)) mod K."""
     n, k = f.domain_size, f.codomain_size
@@ -57,12 +47,12 @@ def diff_table(f: ZFunc, a: int) -> tuple[int, ...]:
     return tuple((f.table[(x + a) % n] - f.table[x]) % k for x in range(n))
 
 
-def _check_zone(f: ZFunc, zone: LocalZone) -> None:
+def _check_zone(f: ZFunc, zone: Zone) -> None:
     if zone.z_x > f.domain_size or zone.z_y > f.codomain_size:
         raise PreconditionError("zone exceeds function domain/codomain")
 
 
-def nonlinearity_witness(f: ZFunc, zone: LocalZone) -> tuple[int, int, int]:
+def nonlinearity_witness(f: ZFunc, zone: Zone) -> tuple[int, int, int]:
     """(count, a, b) achieving the max solution count, lexicographically first.
 
     b ranges over the integers of D and is matched against the mod-K
@@ -82,12 +72,12 @@ def nonlinearity_witness(f: ZFunc, zone: LocalZone) -> tuple[int, int, int]:
     return best
 
 
-def nonlinearity_measure(f: ZFunc, zone: LocalZone) -> int:
+def nonlinearity_measure(f: ZFunc, zone: Zone) -> int:
     """Max over a in C\\{0}, b in D of #{x : f(x+a) - f(x) = b mod K}."""
     return nonlinearity_witness(f, zone)[0]
 
 
-def is_lpnf(f: ZFunc, zone: LocalZone) -> bool:
+def is_lpnf(f: ZFunc, zone: Zone) -> bool:
     return nonlinearity_measure(f, zone) == 1
 
 
@@ -98,7 +88,7 @@ def is_pnf(f: ZFunc) -> bool:
     attaining it is perfect nonlinear.
     """
     n, k = f.domain_size, f.codomain_size
-    full = LocalZone(n, k)
+    full = Zone(n, k)
     return nonlinearity_measure(f, full) == math.ceil(n / k)
 
 
@@ -121,7 +111,7 @@ def quad_lpnf(n: int, a2: int, a1: int, k: int) -> ZFunc:
     return ZFunc(n, k, table)
 
 
-def lpnf_zone_for(n: int, k: int) -> LocalZone:
+def lpnf_zone_for(n: int, k: int) -> Zone:
     """The zone on which the quadratic family has measure 1.
 
     With p the smallest prime factor of N, the Doppler half-width is N when
@@ -133,10 +123,10 @@ def lpnf_zone_for(n: int, k: int) -> LocalZone:
         raise PreconditionError("codomain size must be at least the domain size")
     p = smallest_prime_factor(n)
     if k == n:
-        return LocalZone(p, n)
+        return Zone(p, n)
     if k < 2 * n - 1:
-        return LocalZone(p, k - n + 1)
-    return LocalZone(p, k)
+        return Zone(p, k - n + 1)
+    return Zone(p, k)
 
 
 def power_lpnf(p: int, alpha: int) -> ZFunc:

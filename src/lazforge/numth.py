@@ -47,19 +47,6 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def multiplicative_order(a: int, n: int) -> int:
-    a %= n
-    if a == 0:
-        raise PreconditionError("order of 0 is undefined")
-    k, x = 1, a
-    while x != 1:
-        x = (x * a) % n
-        k += 1
-        if k > n:
-            raise PreconditionError(f"{a} is not a unit modulo {n}")
-    return k
-
-
 def is_primitive_root(a: int, p: int) -> bool:
     """True when a generates the multiplicative group of Z_p, p prime."""
     if a % p == 0:

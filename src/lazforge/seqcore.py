@@ -225,6 +225,11 @@ class SequenceSet:
         return self.members[0].length
 
     @property
+    def order(self) -> int:
+        """The size: a companion matrix's order, read by perfbench's counters."""
+        return self.size
+
+    @property
     def is_rational(self) -> bool:
         return all(m.is_rational for m in self.members)
 
@@ -328,11 +333,16 @@ def sequence_set_from_dict(d: dict) -> SequenceSet:
     return SequenceSet(tuple(UnimodSequence(row, common) for row in num % den * (common // den)))
 
 
+def _refuse_constant(name: str):
+    raise PreconditionError(f"non-finite JSON constant {name}")
+
+
 def read_json(path: str | Path):
-    """The JSON value stored in a file; a missing or unreadable file, or any
-    other content, is a PreconditionError."""
+    """The JSON value stored in a file; a missing or unreadable file, any
+    other content, or the non-standard constants NaN and +-Infinity that
+    Python's json would otherwise accept, is a PreconditionError."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
     except OSError as e:
         raise PreconditionError(f"cannot read {path}: {e.strerror or e}") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as e:

@@ -106,8 +106,6 @@ TABLES: dict[int, ReferenceTable] = {
     ),
 }
 
-TABLE_IDS = tuple(sorted(TABLES))
-
 # Optimality factors reported for the two showcase configurations.  Both
 # aperiodic values agree with the bound formula over the guaranteed zone; the
 # two periodic values follow an undocumented convention and are kept for

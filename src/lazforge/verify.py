@@ -3,6 +3,7 @@ maximal zones, and reference-table reproduction."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,8 +150,8 @@ def empirical_zone(
     Scans the full delay-Doppler grid of every unordered pair, so runtime is
     O(M^2 L^2 log L).
     """
-    if theta_budget < 0:
-        raise PreconditionError("budget must be nonnegative")
+    if not (math.isfinite(theta_budget) and theta_budget >= 0):
+        raise PreconditionError(f"budget must be finite and nonnegative, got {theta_budget}")
     grid = _magnitude_grid(s, kind)
     prefix = np.maximum.accumulate(np.maximum.accumulate(grid, axis=0), axis=1)
     tol = MAG_TOL_SCALE * s.length

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from lazforge import (
-    LocalZone,
     Phase,
     SequenceSet,
+    Zone,
     aperiodic_af,
     af_row,
     asymptotic_rho,
@@ -144,7 +144,7 @@ def test_criterion_4_lpnf_property_suite():
     primitive = {5: 2, 7: 3, 11: 2, 13: 2}
     for p, alpha in primitive.items():
         f = power_lpnf(p, alpha)
-        assert nonlinearity_measure(f, LocalZone(p - 1, p)) == 1, p
+        assert nonlinearity_measure(f, Zone(p - 1, p)) == 1, p
     report(
         4,
         True,

@@ -15,7 +15,6 @@ from lazforge import (
     af_row,
     aperiodic_af,
     build_laz_set,
-    delta_k,
     legendre_shifts,
     make_hmatrix,
     msequence_shifts,
@@ -50,18 +49,6 @@ def naive_aperiodic(a, b, tau, v):
         av[t] * np.conj(bv[t + tau]) * cmath.exp(2j * cmath.pi * v * t / n)
         for t in ts
     )
-
-
-class TestDeltaK:
-    def test_values(self):
-        assert delta_k(0, 5) == 5
-        assert delta_k(10, 5) == 5
-        assert delta_k(3, 5) == 0
-        assert delta_k(-5, 5) == 5
-
-    def test_bad_modulus(self):
-        with pytest.raises(PreconditionError):
-            delta_k(0, 0)
 
 
 class TestPointEvaluation:
@@ -149,11 +136,13 @@ class TestAfRow:
         assert np.allclose(row, [6, 0, 0, 0, 0, 0], atol=1e-12)
 
     def test_grid_matches_definition(self, set_7_7):
-        g = af_grid(set_7_7[0], set_7_7[2], Zone(3, 4), "aperiodic", source=(0, 2))
-        for r, tau in enumerate(g.delays):
-            for c, v in enumerate(g.dopplers):
+        zone = Zone(3, 4)
+        g = af_grid(set_7_7[0], set_7_7[2], zone, "aperiodic")
+        assert g.shape == (len(zone.delays()), len(zone.dopplers()))
+        for r, tau in enumerate(zone.delays()):
+            for c, v in enumerate(zone.dopplers()):
                 want = aperiodic_af(set_7_7[0], set_7_7[2], tau, v)
-                assert g.values[r, c] == pytest.approx(want, abs=1e-9 * 49)
+                assert g[r, c] == pytest.approx(want, abs=1e-9 * 49)
 
 
 class TestThetaMax:

@@ -188,19 +188,6 @@ class TestDeterminism:
         mb = (tmp_path / "b.meta.json").read_bytes()
         assert ma == mb
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path, capsys):
-        out = tmp_path / "s.json"
-        run(capsys, "gen", "--n", "5", "--k", "5", "-o", str(out))
-        _, one, _ = run(
-            capsys, "verify", "--set", str(out), "--meta",
-            str(tmp_path / "s.meta.json"), "--threads", "1",
-        )
-        _, four, _ = run(
-            capsys, "verify", "--set", str(out), "--meta",
-            str(tmp_path / "s.meta.json"), "--threads", "4",
-        )
-        assert one == four
-
 
 class TestFailClosedLoading:
     """Unreadable or non-finite inputs are precondition errors (exit 3): never
@@ -224,7 +211,8 @@ class TestFailClosedLoading:
         truncated = tmp_path / "truncated.json"
         truncated.write_text(text[: len(text) // 2])
         return {"good": good, "meta": tmp_path / "s.meta.json", "nan": nan,
-                "square_nan": square_nan, "truncated": truncated}
+                "square_nan": square_nan, "truncated": truncated,
+                "non_square": good}
 
     @pytest.mark.parametrize("bad", ["nan", "truncated"])
     def test_verify_refuses_bad_set(self, files, capsys, bad):
@@ -238,6 +226,19 @@ class TestFailClosedLoading:
             capsys, "verify", "--set", str(files["good"]), "--meta", str(files["truncated"])
         )
         assert code == 3 and err.startswith("error:")
+
+    @pytest.mark.parametrize("theta", ["Infinity", "NaN", "1e400"])
+    def test_verify_refuses_non_finite_theta(self, files, capsys, tmp_path, theta):
+        # Python's json reads NaN and Infinity, and 1e400 overflows to inf
+        meta = json.loads(files["meta"].read_text())
+        path = tmp_path / "inf.meta.json"
+        text = json.dumps(meta).replace('"theta": 7.0', f'"theta": {theta}')
+        assert f'"theta": {theta}' in text
+        path.write_text(text)
+        code, stdout, err = run(
+            capsys, "verify", "--set", str(files["good"]), "--meta", str(path)
+        )
+        assert (code, stdout) == (3, "") and err.startswith("error:")
 
     @pytest.mark.parametrize("meta", [
         {"periodic": {}, "aperiodic": {}},
@@ -265,7 +266,7 @@ class TestFailClosedLoading:
         code, stdout, err = run(capsys, *(a.format(**paths) for a in argv))
         assert (code, stdout) == (3, "") and err.startswith("error:")
 
-    @pytest.mark.parametrize("bad", ["square_nan", "truncated"])
+    @pytest.mark.parametrize("bad", ["square_nan", "truncated", "non_square"])
     def test_hgen_verify_refuses_bad_matrix(self, files, capsys, bad):
         assert run(capsys, "hgen", "verify", str(files[bad]))[0] == 3
 
@@ -276,3 +277,30 @@ class TestFailClosedLoading:
             "--kind", "periodic", "--zx", "2", "--zy", "2",
         )
         assert code == 3
+
+
+class TestNumericArguments:
+    """Out-of-range or non-finite numbers are precondition errors (exit 3) and
+    malformed lists usage errors (exit 2): never a pass, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def set_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("numeric") / "s.json"
+        assert main(["gen", "--n", "5", "--k", "5", "-o", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("argv,code", [
+        ("bounds --m 7 --len 0 --zx 7 --zy 7 --theta 7 --kind periodic", 3),
+        ("bounds --m 7 --len -5 --zx 7 --zy 7 --theta 7 --kind aperiodic", 3),
+        ("bounds --m 7 --len 49 --zx 7 --zy 7 --theta nan --kind periodic", 3),
+        ("bounds --m 7 --len 49 --zx 7 --zy 7 --theta inf --kind aperiodic", 3),
+        ("bounds --m 7 --len 49 --zx 7 --zy 7 --theta 0 --kind periodic", 3),
+        ("verify --set {set} --empirical-budget nan", 3),
+        ("verify --set {set} --empirical-budget inf", 3),
+        ("tables --id 1,x", 2),
+        ("verify --set {set} --threads 1", 2),
+    ])
+    def test_exit_code(self, set_path, capsys, argv, code):
+        got, stdout, err = run(capsys, *argv.format(set=set_path).split())
+        assert (got, stdout) == (code, "")
+        assert err.startswith("error:" if code == 3 else "usage:")

@@ -91,13 +91,13 @@ class TestBuildLazSet:
     def test_t0_slice_reproduces_companion_row(self, set_7_7):
         h = legendre_shifts(7)
         for n in range(7):
-            assert entries(set_7_7[n])[:7] == entries(h.rows[n])
+            assert entries(set_7_7[n])[:7] == entries(h[n])
 
     def test_entry_formula(self, set_7_7):
         f = quad_lpnf(7, 1, 0, 7)
         h = legendre_shifts(7)
         for n, t, m in ((2, 3, 4), (5, 6, 0), (1, 0, 6)):
-            want = h.rows[n][m] * Phase.rational(t * f.table[m], 7)
+            want = h[n][m] * Phase.rational(t * f.table[m], 7)
             assert set_7_7[n][t * 7 + m] == want
 
     def test_denominators_divide_lcm(self, set_7_7):

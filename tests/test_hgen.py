@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from lazforge import (
-    HMatrix,
     Phase,
     PreconditionError,
+    SequenceSet,
     UnimodSequence,
     bjorck_shifts,
     dft_submatrix,
     equal_up_to_shift,
-    hmatrix_from_set,
     legendre_shifts,
     make_hmatrix,
     msequence_shifts,
@@ -31,15 +30,15 @@ def plusminus(row):
 class TestDftSubmatrix:
     def test_order_2_rows(self):
         h = dft_submatrix(2)
-        assert entries(h.rows[0]) == (Phase.rational(0, 3), Phase.rational(0, 3))
-        assert entries(h.rows[1]) == (Phase.rational(0, 3), Phase.rational(1, 3))
+        assert entries(h[0]) == (Phase.rational(0, 3), Phase.rational(0, 3))
+        assert entries(h[1]) == (Phase.rational(0, 3), Phase.rational(1, 3))
         # cross inner product has magnitude exactly 1: |1 + w_3^{-1}|
         inner = np.vdot(h.matrix[1], h.matrix[0])
         assert abs(abs(inner) - 1) < 1e-12
 
     def test_exact_phase_denominators(self):
         h = dft_submatrix(9)
-        assert all(10 % p.turns.denominator == 0 for r in h.rows for p in entries(r))
+        assert all(10 % p.turns.denominator == 0 for r in h for p in entries(r))
 
     @pytest.mark.parametrize("n", [2, 5, 9, 35])
     def test_constraints_pass(self, n):
@@ -50,12 +49,12 @@ class TestDftSubmatrix:
 
 class TestLegendreShifts:
     def test_row0_for_7(self):
-        assert plusminus(legendre_shifts(7).rows[0]) == [1, 1, 1, -1, 1, -1, -1]
+        assert plusminus(legendre_shifts(7)[0]) == [1, 1, 1, -1, 1, -1, -1]
 
     def test_rows_are_declared_shifts(self):
         h = legendre_shifts(7)
         for i in range(7):
-            hit = equal_up_to_shift(h.rows[0], h.rows[i])
+            hit = equal_up_to_shift(h[0], h[i])
             assert hit is not None and hit[0] == i
 
     def test_composite_rejected(self):
@@ -77,7 +76,7 @@ class TestLegendreShifts:
 
 class TestMSequenceShifts:
     def test_reference_row(self):
-        assert plusminus(msequence_shifts(3).rows[0]) == [-1, -1, -1, 1, -1, 1, 1]
+        assert plusminus(msequence_shifts(3)[0]) == [-1, -1, -1, 1, -1, 1, 1]
 
     def test_degenerate_degree(self):
         with pytest.raises(PreconditionError):
@@ -92,7 +91,7 @@ class TestMSequenceShifts:
     def test_rows_are_declared_shifts(self):
         h = msequence_shifts(4)
         for i in range(15):
-            hit = equal_up_to_shift(h.rows[0], h.rows[i])
+            hit = equal_up_to_shift(h[0], h[i])
             assert hit is not None and hit[0] == i
 
     def test_poly_override(self):
@@ -142,7 +141,7 @@ class TestBjorckShifts:
 class TestVerifier:
     def test_duplicate_rows_fail_with_witness(self):
         row = UnimodSequence(range(4), 4)
-        h = HMatrix(order=4, rows=(row, row, row, row), provenance="custom")
+        h = SequenceSet((row, row, row, row))
         rep = verify_h_constraints(h)
         assert not rep.passed
         assert abs(rep.max_modulated - 4) < 1e-12
@@ -163,7 +162,7 @@ class TestVerifier:
 
     def test_from_set_requires_square(self, set_7_7):
         with pytest.raises(PreconditionError):
-            hmatrix_from_set(set_7_7)
+            verify_h_constraints(set_7_7)
 
 
 class TestSupportedOrders:
@@ -177,6 +176,6 @@ class TestSupportedOrders:
 
     def test_make_hmatrix_mseq_infers_degree(self):
         h = make_hmatrix("mseq", 7)
-        assert h.order == 7 and h.provenance == "msequence"
+        assert (h.size, h.length) == (7, 7) and h == msequence_shifts(3)
         with pytest.raises(PreconditionError):
             make_hmatrix("mseq", 6)

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lazforge import (
-    LocalZone,
     PreconditionError,
     ZFunc,
+    Zone,
     diff_table,
     is_lpnf,
     is_pnf,
@@ -64,24 +64,24 @@ class TestDiffTables:
 
 class TestNonlinearityMeasure:
     def test_example_zone_narrow(self, example_f):
-        assert nonlinearity_measure(example_f, LocalZone(5, 4)) == 1
+        assert nonlinearity_measure(example_f, Zone(5, 4)) == 1
 
     def test_example_zone_wide(self, example_f):
         # 4 is attained twice for a = 2 and a = 3 once b may reach +-4
-        assert nonlinearity_measure(example_f, LocalZone(5, 8)) == 2
+        assert nonlinearity_measure(example_f, Zone(5, 8)) == 2
 
     def test_constant_function(self):
         f = ZFunc(7, 7, (0,) * 7)
-        assert nonlinearity_measure(f, LocalZone(7, 1)) == 7
+        assert nonlinearity_measure(f, Zone(7, 1)) == 7
 
     def test_witness_is_consistent(self, example_f):
-        count, a, b = nonlinearity_witness(example_f, LocalZone(5, 8))
+        count, a, b = nonlinearity_witness(example_f, Zone(5, 8))
         assert count == 2
         assert diff_table(example_f, a).count(b % 8) == 2
 
     def test_zone_bounds_checked(self, example_f):
         with pytest.raises(PreconditionError):
-            nonlinearity_measure(example_f, LocalZone(6, 4))
+            nonlinearity_measure(example_f, Zone(6, 4))
 
     @given(
         st.integers(3, 9),
@@ -98,18 +98,18 @@ class TestNonlinearityMeasure:
         zy1 = data.draw(st.integers(1, k))
         zx2 = data.draw(st.integers(zx1, n))
         zy2 = data.draw(st.integers(zy1, k))
-        m1 = nonlinearity_measure(f, LocalZone(zx1, zy1))
-        m2 = nonlinearity_measure(f, LocalZone(zx2, zy2))
+        m1 = nonlinearity_measure(f, Zone(zx1, zy1))
+        m2 = nonlinearity_measure(f, Zone(zx2, zy2))
         assert m1 <= m2
 
 
 class TestIsLpnf:
     def test_example_verdicts(self, example_f):
-        assert is_lpnf(example_f, LocalZone(5, 4))
-        assert not is_lpnf(example_f, LocalZone(5, 8))
+        assert is_lpnf(example_f, Zone(5, 4))
+        assert not is_lpnf(example_f, Zone(5, 8))
 
     def test_quad_35_over_its_zone(self):
-        assert is_lpnf(quad_lpnf(35, 1, 0, 35), LocalZone(5, 35))
+        assert is_lpnf(quad_lpnf(35, 1, 0, 35), Zone(5, 35))
 
     def test_quadratic_family_zone_sample(self):
         # spot check of the three regimes; the exhaustive sweep lives in
@@ -124,7 +124,7 @@ class TestIsLpnf:
     def test_diff_values_distinct_where_lpnf(self):
         # measure 1 with D covering all residues forces injective differences
         f = quad_lpnf(7, 1, 0, 7)
-        assert is_lpnf(f, LocalZone(7, 7))
+        assert is_lpnf(f, Zone(7, 7))
         for a in range(1, 7):
             row = diff_table(f, a)
             assert len(set(row)) == len(row)
@@ -132,13 +132,13 @@ class TestIsLpnf:
 
 class TestZoneFor:
     def test_equal_regime(self):
-        assert lpnf_zone_for(35, 35) == LocalZone(5, 35)
+        assert lpnf_zone_for(35, 35) == Zone(5, 35)
 
     def test_middle_regime(self):
-        assert lpnf_zone_for(7, 11) == LocalZone(7, 5)
+        assert lpnf_zone_for(7, 11) == Zone(7, 5)
 
     def test_wide_regime(self):
-        assert lpnf_zone_for(25, 49) == LocalZone(5, 49)
+        assert lpnf_zone_for(25, 49) == Zone(5, 49)
 
     def test_codomain_too_small(self):
         with pytest.raises(PreconditionError):
@@ -159,7 +159,7 @@ class TestPowerMap:
     def test_full_zone_measure_one(self):
         for p, alpha in ((5, 2), (7, 3)):
             f = power_lpnf(p, alpha)
-            assert nonlinearity_measure(f, LocalZone(p - 1, p)) == 1
+            assert nonlinearity_measure(f, Zone(p - 1, p)) == 1
 
 
 class TestIsPnf:

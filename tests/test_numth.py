@@ -6,7 +6,6 @@ from lazforge.numth import (
     is_primitive_root,
     legendre_symbol,
     lfsr_sequence,
-    multiplicative_order,
     prime_factors,
     smallest_prime_factor,
     smallest_primitive_polynomial,
@@ -31,13 +30,6 @@ def test_smallest_prime_factor():
 def test_prime_factors():
     assert prime_factors(360) == [2, 3, 5]
     assert prime_factors(127) == [127]
-
-
-def test_multiplicative_order():
-    assert multiplicative_order(2, 7) == 3
-    assert multiplicative_order(3, 7) == 6
-    with pytest.raises(PreconditionError):
-        multiplicative_order(2, 8)  # not a unit
 
 
 def test_primitive_roots_mod_7():

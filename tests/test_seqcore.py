@@ -167,7 +167,7 @@ class TestSetFormat:
             assert sequence_set_from_dict(sequence_set_to_dict(s)) == s
 
     def test_float_mode_roundtrip(self):
-        s = bjorck_shifts(7).as_sequence_set()
+        s = bjorck_shifts(7)
         d = sequence_set_to_dict(s)
         assert d["phase_mode"] == "float"
         back = sequence_set_from_dict(json.loads(json.dumps(d)))

@@ -21,10 +21,8 @@ from .bounds import (
 )
 from .construct import (
     LazParams,
-    build_a_matrix,
     build_laz_set,
-    deinterleave,
-    interleave,
+    factor_interleaved,
     power_map_params,
     predicted_params,
 )

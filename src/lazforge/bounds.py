@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .numth import smallest_prime_factor
+from .seqcore import check_kind
 
 REGIME_EQUAL = "K=N"
 REGIME_MIDDLE = "N<K<2N-1"
@@ -76,12 +77,9 @@ def optimality_factor(
     constructed family inferred from (M, length) when length = M*K."""
     if not (math.isfinite(theta) and theta > 0):
         raise PreconditionError(f"theta must be finite and positive, got {theta}")
-    if kind == "periodic":
-        bound = periodic_lower_bound(m, n_len, z_x, z_y)
-    elif kind == "aperiodic":
-        bound = aperiodic_lower_bound(m, n_len, z_x, z_y)
-    else:
-        raise PreconditionError(f"unknown kind {kind!r}")
+    check_kind(kind)
+    lower_bound = periodic_lower_bound if kind == "periodic" else aperiodic_lower_bound
+    bound = lower_bound(m, n_len, z_x, z_y)
     if bound == 0:
         raise PreconditionError("bound is zero; optimality factor undefined")
     regime = None
@@ -102,6 +100,7 @@ def asymptotic_rho(n: int, k: int, kind: str) -> float:
     periodic case is sqrt((Np - 1)/(Np - N)), which decreases to 1 as the
     smallest prime factor p grows.
     """
+    check_kind(kind)
     regime = classify_regime(n, k)
     p = smallest_prime_factor(n)
     if kind == "periodic":
@@ -111,30 +110,28 @@ def asymptotic_rho(n: int, k: int, kind: str) -> float:
             zy = k - n + 1
             return math.sqrt(zy * k * (n * p - 1) / (n * n * (p * zy - k)))
         return math.sqrt(k / n) * math.sqrt((n * p - 1) / (n * p - n))
-    if kind == "aperiodic":
-        if regime == REGIME_EQUAL:
-            return (
-                (n + p - 1)
-                / (n * math.sqrt(n))
-                * math.sqrt(
-                    (n * p - 1) / (p - 1) + p * (n * p - 1) / ((n * n - 1) * (p - 1))
-                )
-            )
-        if regime == REGIME_MIDDLE:
-            zy = k - n + 1
-            return (
-                (k + p - 1)
-                * math.sqrt(zy)
-                / (n * k)
-                * math.sqrt(
-                    (n * k + p - 1) * (n * p - 1) / (n * zy * p - n * k - p + 1)
-                )
-            )
+    if regime == REGIME_EQUAL:
         return (
-            (k + p - 1)
-            / (n * math.sqrt(k))
+            (n + p - 1)
+            / (n * math.sqrt(n))
             * math.sqrt(
-                (n * p - 1) / (p - 1) + p * (n * p - 1) / ((n * k - 1) * (p - 1))
+                (n * p - 1) / (p - 1) + p * (n * p - 1) / ((n * n - 1) * (p - 1))
             )
         )
-    raise PreconditionError(f"unknown kind {kind!r}")
+    if regime == REGIME_MIDDLE:
+        zy = k - n + 1
+        return (
+            (k + p - 1)
+            * math.sqrt(zy)
+            / (n * k)
+            * math.sqrt(
+                (n * k + p - 1) * (n * p - 1) / (n * zy * p - n * k - p + 1)
+            )
+        )
+    return (
+        (k + p - 1)
+        / (n * math.sqrt(k))
+        * math.sqrt(
+            (n * p - 1) / (p - 1) + p * (n * p - 1) / ((n * k - 1) * (p - 1))
+        )
+    )

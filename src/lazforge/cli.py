@@ -24,7 +24,7 @@ from .construct import (
     predicted_params,
 )
 from .errors import PreconditionError
-from .hgen import make_hmatrix, verify_h_constraints
+from .hgen import GENERATORS, make_hmatrix, verify_h_constraints
 from .lpnf import (
     diff_table,
     lpnf_zone_for,
@@ -40,8 +40,6 @@ from .seqcore import (
     sequence_set_to_dict,
 )
 from .verify import certify_laz, cyclic_distinct, empirical_zone, reproduce_table
-
-H_KINDS = ("dft", "legendre", "mseq", "bjorck")
 
 
 def _round9(x: float) -> float:
@@ -254,13 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="build an interleaved sequence set")
     add_function_flags(p)
-    p.add_argument("--h", choices=H_KINDS, default="dft", help="companion matrix family")
+    p.add_argument("--h", choices=GENERATORS, default="dft", help="companion matrix family")
     p.add_argument("-o", "--output", required=True, help="output set JSON path")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("hgen", help="generate or verify a companion matrix")
     p.add_argument("mode", nargs="*", help="'verify FILE' to check an existing matrix")
-    p.add_argument("--kind", choices=H_KINDS)
+    p.add_argument("--kind", choices=GENERATORS)
     p.add_argument("--n", type=int, help="matrix order")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_hgen)

@@ -1,12 +1,13 @@
-"""Interleaved construction of low-ambiguity-zone sequence sets.
+"""The interleaved construction of low-ambiguity-zone sequence sets and its
+exact inverse.
 
-From a local nonlinear function f: Z_N -> Z_K build the N x K base matrix
-a_k(t) = w_K^{t f(k)}, modulate its rows by a verified companion matrix, and
-read the resulting K x N column arrangement out row-major:
+A local nonlinear function f: Z_N -> Z_K and a verified N x N companion
+matrix h give N sequences of length N*K in one closed form:
 
     s_n(t*N + m) = h_n(m) * w_K^{t f(m)}
 
-giving N sequences of length N*K.
+`build_laz_set` evaluates it; `factor_interleaved` reads (f, h) back from a
+set and accepts only when rebuilding gives the set again exactly.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ class LazParams:
 
     def __post_init__(self):
         check_kind(self.kind)
-        if not (math.isfinite(self.theta) and self.theta > 0):
+        if type(self.set_size) is not int or type(self.length) is not int:
+            raise PreconditionError("set_size and length must be integers")
+        if isinstance(self.theta, bool) or not (math.isfinite(self.theta) and self.theta > 0):
             raise PreconditionError(f"theta must be finite and positive, got {self.theta}")
 
     def to_dict(self) -> dict:
@@ -67,29 +70,6 @@ class LazParams:
             ) from None
 
 
-def build_a_matrix(f: ZFunc) -> SequenceSet:
-    """Rows a_k(t) = w_K^{t f(k)} for k in [0, N): N sequences of length K."""
-    k = f.codomain_size
-    turns = np.outer(f.table, np.arange(k)) % k
-    return SequenceSet(tuple(UnimodSequence(row, k) for row in turns))
-
-
-def interleave(columns: list[UnimodSequence]) -> UnimodSequence:
-    """Row-major read of the matrix whose m-th column is columns[m].
-
-    Output length L*M with u(t*M + m) = columns[m](t).
-    """
-    phases, d = SequenceSet(tuple(columns)).stacked_phases()
-    return UnimodSequence(phases.T.ravel(), d)
-
-
-def deinterleave(u: UnimodSequence, m: int) -> list[UnimodSequence]:
-    """Split u back into the m columns that interleave() would combine."""
-    if m < 1 or u.length % m != 0:
-        raise PreconditionError("column count must divide the sequence length")
-    return [UnimodSequence(u.phases[i::m], u.denominator) for i in range(m)]
-
-
 def build_laz_set(f: ZFunc, h: SequenceSet) -> SequenceSet:
     """The interleaved sequence set for f and a verified N x N companion
     matrix h: s_n(t*N + m) = h_n(m) * w_K^{t f(m)}."""
@@ -114,6 +94,24 @@ def build_laz_set(f: ZFunc, h: SequenceSet) -> SequenceSet:
         d = math.lcm(h_den, k)
         rows = h_phases[:, m] * (d // h_den) + base * (d // k)
     return SequenceSet(tuple(UnimodSequence(row, d) for row in rows))
+
+
+def factor_interleaved(s: SequenceSet) -> tuple[ZFunc, SequenceSet]:
+    """The (f, h) with build_laz_set(f, h) == s: h is the t = 0 slice and f(m)
+    the K-th-root exponent of s_0(N + m) / s_0(m).  A set that this does not
+    rebuild exactly, or whose h fails its constraints, is a PreconditionError."""
+    n = s.size
+    if s.length % n:
+        raise PreconditionError(f"length {s.length} is not a multiple of the size {n}")
+    k = s.length // n
+    phases, d = s.stacked_phases()
+    step = np.roll(phases[0], -n)[:n] - phases[0, :n]  # all zero when K = 1
+    table = np.rint(step * k / TWO_PI) % k if d is None else (step % d) * k // d
+    f = ZFunc(n, k, table.astype(np.int64).tolist())
+    h = SequenceSet(tuple(UnimodSequence(row, d) for row in phases[:, :n]))
+    if build_laz_set(f, h) != s:
+        raise PreconditionError("not an interleaved set")
+    return f, h
 
 
 def predicted_params(n: int, k: int, kind: str) -> LazParams:

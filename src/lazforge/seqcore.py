@@ -263,6 +263,8 @@ class Zone:
     z_y: int
 
     def __post_init__(self):
+        if type(self.z_x) is not int or type(self.z_y) is not int:
+            raise PreconditionError("zone half-widths must be integers")
         if self.z_x < 1 or self.z_y < 1:
             raise PreconditionError("zone half-widths must be positive")
 

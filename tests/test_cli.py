@@ -240,6 +240,21 @@ class TestFailClosedLoading:
         )
         assert (code, stdout) == (3, "") and err.startswith("error:")
 
+    @pytest.mark.parametrize("field,value", [
+        ("z_x", 2.5), ("z_x", True), ("set_size", 7.0), ("theta", True),
+    ])
+    def test_verify_refuses_non_integer_meta_field(self, files, capsys, tmp_path, field, value):
+        # JSON integers only for sizes and half-widths; a bool is not a number
+        meta = json.loads(files["meta"].read_text())
+        for kind in ("periodic", "aperiodic"):
+            meta[kind][field] = value
+        path = tmp_path / "typed.meta.json"
+        path.write_text(json.dumps(meta))
+        code, stdout, err = run(
+            capsys, "verify", "--set", str(files["good"]), "--meta", str(path)
+        )
+        assert (code, stdout) == (3, "") and err.startswith("error:")
+
     @pytest.mark.parametrize("meta", [
         {"periodic": {}, "aperiodic": {}},
         {"periodic": {"set_size": 7, "length": 49, "z_x": 7, "z_y": 7, "theta": 7.0}},

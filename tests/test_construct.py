@@ -1,5 +1,7 @@
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,91 +10,79 @@ from lazforge import (
     LazParams,
     Phase,
     PreconditionError,
+    SequenceSet,
     UnimodSequence,
     ZFunc,
     Zone,
-    build_a_matrix,
+    bjorck_shifts,
     build_laz_set,
-    deinterleave,
     dft_submatrix,
-    interleave,
+    factor_interleaved,
     legendre_shifts,
+    load_sequence_set,
+    make_hmatrix,
+    power_lpnf,
     power_map_params,
     predicted_params,
     quad_lpnf,
+    verify_h_constraints,
+)
+from lazforge.cli import main
+from lazforge.hgen import GENERATORS
+from lazforge.seqcore import sequence_set_from_dict, sequence_set_to_dict
+
+
+def _passes(kind, n):
+    try:
+        return verify_h_constraints(make_hmatrix(kind, n)).passed
+    except PreconditionError:
+        return False
+
+
+# every (family, odd order) pair up to 15 whose companion matrix passes
+FAMILY_ORDERS = [(kind, n) for kind in GENERATORS for n in range(3, 16, 2) if _passes(kind, n)]
+
+
+@st.composite
+def quadratic_sets(draw):
+    kind, n = draw(st.sampled_from(FAMILY_ORDERS))
+    a2 = draw(st.sampled_from([a for a in range(1, n) if math.gcd(a, n) == 1]))
+    a1 = draw(st.integers(0, n - 1))
+    k = draw(st.integers(n, 2 * n + 2))
+    return quad_lpnf(n, a2, a1, k), make_hmatrix(kind, n)
+
+
+# power maps x -> alpha^x mod p; only the DFT family has the even order p - 1
+POWER_SETS = st.sampled_from([(3, 2), (5, 2), (7, 3), (11, 2), (13, 2)]).map(
+    lambda pa: (power_lpnf(*pa), dft_submatrix(pa[0] - 1))
 )
 
-
-def marker(k, n=64):
-    return Phase.rational(k % n, n)
+INTERLEAVED = st.one_of(quadratic_sets(), POWER_SETS)
 
 
-def seq(*phases):
-    """The rational sequence whose entries are the given rational phases."""
-    d = math.lcm(*(p.turns.denominator for p in phases))
-    return UnimodSequence([p.turns.numerator * (d // p.turns.denominator) for p in phases], d)
+def replace_member(s, i, u):
+    members = list(s)
+    members[i] = u
+    return SequenceSet(tuple(members))
+
+
+def move_entry(u, index):
+    """u with one entry rotated: by half a step of its phase grid if rational,
+    by 0.5 rad if float."""
+    if not u.is_rational:
+        phases = u.phases.copy()
+        phases[index] += 0.5
+        return UnimodSequence(phases)
+    phases = 2 * u.phases
+    phases[index] += 1
+    return UnimodSequence(phases, 2 * u.denominator)
 
 
 def entries(s):
     return tuple(s[t] for t in range(s.length))
 
 
-class TestBaseMatrix:
-    def test_zero_function_gives_all_ones(self):
-        s = build_a_matrix(ZFunc(3, 5, (0, 0, 0)))
-        assert s.size == 3 and s.length == 5
-        assert all(p == Phase.one() for m in s for p in entries(m))
-
-    def test_example_row(self):
-        f = quad_lpnf(5, 1, 0, 8)  # f(2) = 4
-        s = build_a_matrix(f)
-        assert entries(s[2]) == tuple(Phase.rational(4 * t, 8) for t in range(8))
-
-    def test_row0_all_ones(self):
-        f = quad_lpnf(5, 1, 0, 8)  # f(0) = 0
-        assert all(p == Phase.one() for p in entries(build_a_matrix(f)[0]))
-
-
-class TestInterleave:
-    def test_two_columns(self):
-        one, minus = Phase.rational(0, 2), Phase.rational(1, 2)
-        u = interleave([seq(one, one), seq(one, minus)])
-        assert entries(u) == (one, one, one, minus)
-
-    def test_single_column_is_identity(self):
-        col = seq(*(marker(k) for k in range(5)))
-        assert interleave([col]) == col
-
-    def test_row_major_three_columns(self):
-        a, b, c, d, e, f = (marker(k) for k in range(6))
-        u = interleave([seq(a, b), seq(c, d), seq(e, f)])
-        assert entries(u) == (a, c, e, b, d, f)
-
-    def test_length_mismatch(self):
-        with pytest.raises(PreconditionError):
-            interleave([seq(marker(0)), seq(marker(1), marker(2))])
-
-    @given(st.integers(1, 6), st.integers(1, 6), st.data())
-    @settings(max_examples=30)
-    def test_deinterleave_inverts(self, m, length, data):
-        cols = [
-            seq(
-                *(
-                    marker(data.draw(st.integers(0, 63), label=f"c{i}t{t}"))
-                    for t in range(length)
-                )
-            )
-            for i in range(m)
-        ]
-        assert deinterleave(interleave(cols), m) == cols
-
-
 class TestBuildLazSet:
-    def test_t0_slice_reproduces_companion_row(self, set_7_7):
-        h = legendre_shifts(7)
-        for n in range(7):
-            assert entries(set_7_7[n])[:7] == entries(h[n])
-
     def test_entry_formula(self, set_7_7):
         f = quad_lpnf(7, 1, 0, 7)
         h = legendre_shifts(7)
@@ -115,6 +105,74 @@ class TestBuildLazSet:
 
     def test_shape(self, set_7_11):
         assert set_7_11.size == 7 and set_7_11.length == 77
+
+
+class TestFactorInterleaved:
+    @given(INTERLEAVED)
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, fh):
+        f, h = fh
+        s = build_laz_set(f, h)
+        assert factor_interleaved(s) == (f, h)
+        assert build_laz_set(*factor_interleaved(s)) == s
+        reloaded = sequence_set_from_dict(json.loads(json.dumps(sequence_set_to_dict(s))))
+        assert factor_interleaved(reloaded) == (f, h)
+
+    @given(INTERLEAVED, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_member_swap_factors_to_swapped_companion(self, fh, data):
+        # a swapped set is the interleaved set of the row-swapped companion
+        f, h = fh
+        i, j = data.draw(st.lists(st.integers(0, h.size - 1), min_size=2, max_size=2, unique=True))
+        s = build_laz_set(f, h)
+        swapped = replace_member(replace_member(s, i, s[j]), j, s[i])
+        g, h2 = factor_interleaved(swapped)
+        assert (g, h2) == (f, replace_member(replace_member(h, i, h[j]), j, h[i]))
+        assert build_laz_set(g, h2) == swapped
+
+    @given(INTERLEAVED, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_perturbed_entry_refused(self, fh, data):
+        f, h = fh
+        n, k = f.domain_size, f.codomain_size
+        s = build_laz_set(f, h)
+        i = data.draw(st.integers(0, n - 1))
+        index = data.draw(st.integers(n, n * k - 1))  # t >= 1
+        with pytest.raises(PreconditionError, match="not an interleaved set"):
+            factor_interleaved(replace_member(s, i, move_entry(s[i], index)))
+
+    @given(INTERLEAVED, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_member_from_another_function_refused(self, fh, data):
+        f, h = fh
+        g = ZFunc(f.domain_size, f.codomain_size, [(v + 1) % f.codomain_size for v in f.table])
+        i = data.draw(st.integers(0, f.domain_size - 1))
+        s = replace_member(build_laz_set(f, h), i, build_laz_set(g, h)[i])
+        with pytest.raises(PreconditionError, match="not an interleaved set"):
+            factor_interleaved(s)
+
+    def test_failing_companion_refused(self):
+        # the closed form for f = 0 over Legendre shifts of order 5, which fail
+        # their constraints: each member is its h row repeated K times
+        s = SequenceSet(tuple(UnimodSequence(np.tile(u.phases, 5), 2) for u in legendre_shifts(5)))
+        with pytest.raises(PreconditionError, match="constraints"):
+            factor_interleaved(s)
+
+    def test_length_not_a_multiple_of_size_refused(self, set_7_7):
+        s = SequenceSet(tuple(UnimodSequence(u.phases[:-1], u.denominator) for u in set_7_7))
+        with pytest.raises(PreconditionError, match="multiple"):
+            factor_interleaved(s)
+
+    @pytest.mark.parametrize("argv,f,h", [
+        (["--n", "7", "--k", "7", "--h", "bjorck"], quad_lpnf(7, 1, 0, 7), bjorck_shifts(7)),
+        (["--power-map", "11", "2"], power_lpnf(11, 2), dft_submatrix(10)),
+    ])
+    def test_gen_files_factor_exactly(self, tmp_path, argv, f, h):
+        path = tmp_path / "s.json"
+        assert main(["gen", *argv, "-o", str(path)]) == 0
+        s = load_sequence_set(path)
+        assert factor_interleaved(s) == (f, h)
+        assert build_laz_set(f, h) == s
 
 
 class TestPredictedParams:

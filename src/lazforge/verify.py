@@ -18,7 +18,7 @@ from .ambiguity import (
 from .bounds import BoundReport, optimality_factor
 from .construct import LazParams
 from .errors import PreconditionError
-from .seqcore import Phase, SequenceSet, equal_up_to_shift
+from .seqcore import SCAN_BLOCK_ENTRIES, Phase, SequenceSet, check_kind, equal_up_to_shift
 from .tables import TABLES, ReferenceTable, TableRow
 
 TABLE_RHO_TOL = 1e-5
@@ -113,62 +113,56 @@ def certify_laz(
     )
 
 
-def _magnitude_grid(s: SequenceSet, kind: str) -> np.ndarray:
-    """Max |AF| over all pairs, the origin of auto surfaces excluded,
-    indexed [|tau|][|v|].
-
-    Entry (x, y) is the max over tau in {x, -x} and v in {y, -y}; for the
-    periodic kind negative delays wrap modulo the length.  Only pairs i <= j
-    are scanned: |AF_ab(-tau, -v)| = |AF_ba(tau, v)|, and the fold covers
-    both signs.  The running max is over [tau, v] and is folded once at the
-    end, since the max over pairs commutes with the fold.
-    """
-    n = s.length
-    ii, jj = np.triu_indices(s.size)
-    taus = range(n) if kind == "periodic" else range(-n + 1, n)
-    rows = np.zeros((len(taus), n))
-    for lo, r, block in _af_blocks(s.matrix, ii, jj, taus, kind):
-        mags = np.abs(block)
-        if taus[r] == 0:
-            p = slice(lo, lo + len(mags))
-            mags[ii[p] == jj[p], 0] = 0.0  # exclude the auto origin
-        np.maximum(rows[r], mags.max(axis=0), out=rows[r])
-    # fold tau and -tau onto |tau|, v and -v onto |v|
-    if kind == "periodic":
-        by_abs_tau = np.maximum(rows, np.roll(rows[::-1], 1, axis=0))
-    else:
-        by_abs_tau = np.maximum(rows[n - 1 :], rows[n - 1 :: -1])
-    return np.maximum(by_abs_tau, np.roll(by_abs_tau[:, ::-1], 1, axis=1))
-
-
 def empirical_zone(
     s: SequenceSet, theta_budget: float, kind: str
 ) -> list[tuple[int, int]]:
     """Pareto-maximal open rectangles (-Z_x, Z_x) x (-Z_y, Z_y) whose interior
-    (minus the origin for auto surfaces) stays within the budget.
+    (minus the origin for auto surfaces) stays within the budget, in
+    ascending Z_x and descending Z_y.
 
-    Scans the full delay-Doppler grid of every unordered pair, so runtime is
-    O(M^2 L^2 log L).
+    Scans |tau| = 0, 1, 2, ... outward, keeping the widest clean |v| of the
+    rows so far.  Row |tau| is the max |AF| over unordered pairs i <= j at
+    delays tau and -tau, folded over v and -v (|AF_ab(-tau, -v)| =
+    |AF_ba(tau, v)|).  Every rectangle needs its rows |tau| < Z_x clean at
+    v = 0, so the scan returns at the first row whose v = 0 entry is over
+    the budget; periodic rows |tau| and L - |tau| are equal, so that scan
+    ends at L // 2.  Rows are computed in chunks that at most double the
+    delays scanned so far and hold at most SCAN_BLOCK_ENTRIES floats (one
+    row when L is larger).
     """
+    check_kind(kind)
     if not (math.isfinite(theta_budget) and theta_budget >= 0):
         raise PreconditionError(f"budget must be finite and nonnegative, got {theta_budget}")
-    grid = _magnitude_grid(s, kind)
-    prefix = np.maximum.accumulate(np.maximum.accumulate(grid, axis=0), axis=1)
-    tol = MAG_TOL_SCALE * s.length
-    ok = prefix <= theta_budget + tol
-
     n = s.length
+    thr = theta_budget + MAG_TOL_SCALE * n
+    ii, jj = np.triu_indices(s.size)
+    stop = n // 2 + 1 if kind == "periodic" else n
+    cap = max(1, SCAN_BLOCK_ENTRIES // n)
     rects: list[tuple[int, int]] = []
-    best_zy = 0
-    for z_x in range(n, 0, -1):
-        row = ok[z_x - 1]
-        if not row[0]:
-            continue
-        z_y = int(np.argmin(row)) if not row.all() else n
-        if z_y > best_zy:
-            rects.append((z_x, z_y))
-            best_zy = z_y
-    rects.reverse()  # ascending z_x, descending z_y
+    z_y = n  # widest clean |v| over the rows scanned so far
+    x0 = 0
+    while x0 < stop:
+        x1 = min(stop, 2 * x0 + 1, x0 + cap)
+        taus = [tau for x in range(x0, x1) for tau in sorted({x, -x})]
+        rows = np.zeros((x1 - x0, n))
+        for lo, r, block in _af_blocks(s.matrix, ii, jj, taus, kind):
+            mags = np.abs(block)
+            if taus[r] == 0:
+                p = slice(lo, lo + len(mags))
+                mags[ii[p] == jj[p], 0] = 0.0  # exclude the auto origin
+            row = rows[abs(taus[r]) - x0]
+            np.maximum(row, mags.max(axis=0), out=row)
+        rows = np.maximum(rows, np.roll(rows[:, ::-1], 1, axis=1))  # fold v and -v
+        for x, clean in enumerate(rows <= thr, x0):
+            width = n if clean.all() else int(np.argmin(clean))
+            if width < z_y:
+                if x:
+                    rects.append((x, z_y))
+                z_y = width
+            if not z_y:
+                return rects
+        x0 = x1
+    rects.append((n, z_y))
     return rects
 
 

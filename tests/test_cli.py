@@ -1,6 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lazforge.cli import main
 
@@ -319,3 +326,80 @@ class TestNumericArguments:
         got, stdout, err = run(capsys, *argv.format(set=set_path).split())
         assert (got, stdout) == (code, "")
         assert err.startswith("error:" if code == 3 else "usage:")
+
+
+# JSON leaves of every type the loaders may meet, huge integers included
+LEAVES = st.one_of(
+    st.integers(-10, 100),
+    st.integers(2**63 - 2, 2**200) | st.integers(-(2**200), -(2**63) - 1),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 50), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 50), max_size=2),
+)
+
+
+def _mutate(doc, data):
+    """A copy of a JSON document with one leaf replaced, picked by descending
+    from the root through uniformly drawn keys or indices."""
+    node = doc = copy.deepcopy(doc)
+    while isinstance(node, (dict, list)) and node:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    parent[key] = data.draw(LEAVES)
+    return doc
+
+
+class TestCliFuzz:
+    """`verify` and `hgen verify` on set, meta and companion files with one
+    or two leaves mutated: exit 0 or 1 with a JSON report, or exit 3 with an
+    error message; never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def sources(self, tmp_path_factory):
+        """{(family, part): JSON document} for a rational and a float set
+        with their meta files, and a rational and a float companion."""
+        root = tmp_path_factory.mktemp("fuzz")
+        docs = {}
+        for family, argv in (("rational", ["--n", "5", "--k", "5"]),
+                             ("float", ["--n", "7", "--k", "7", "--h", "bjorck"])):
+            path = root / f"{family}.json"
+            assert main(["gen", *argv, "-o", str(path)]) == 0
+            docs[family, "set"] = json.loads(path.read_text())
+            docs[family, "meta"] = json.loads(path.with_suffix(".meta.json").read_text())
+        for kind, n in (("dft", "5"), ("bjorck", "7")):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["hgen", "--kind", kind, "--n", n]) == 0
+            docs[kind, "companion"] = json.loads(out.getvalue())
+        return docs
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_no_exception_escapes(self, sources, data):
+        family, part = data.draw(st.sampled_from(sorted(sources)))
+        docs = {p: doc for (f, p), doc in sources.items() if f == family}
+        for _ in range(data.draw(st.integers(1, 2))):
+            docs[part] = _mutate(docs[part], data)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {p: Path(tmp) / f"{p}.json" for p in docs}
+            for p, doc in docs.items():
+                paths[p].write_text(json.dumps(doc))
+            if part == "companion":
+                argv = ["hgen", "verify", str(paths["companion"])]
+            else:
+                argv = ["verify", "--set", str(paths["set"]), "--meta", str(paths["meta"]),
+                        "--kind", data.draw(st.sampled_from(["both", "periodic", "aperiodic"]))]
+                budget = data.draw(st.sampled_from([None, "0", "5", "7.5", "1e9"]))
+                if budget is not None:
+                    argv += ["--empirical-budget", budget]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 3), (argv, code)
+        if code == 3:
+            assert out.getvalue() == "" and err.getvalue().startswith("error:")
+        else:
+            json.loads(out.getvalue())

@@ -2,7 +2,10 @@
 
 The digests were computed from the program as it stood before set phases
 moved from per-entry fractions to arrays; every output below must stay
-byte-for-byte the same.  To print the digests of the current program:
+byte-for-byte the same.  The two `--empirical-budget` digests were added
+later, computed from the program as it stood before `empirical_zone` moved
+from a full delay-Doppler grid to an outward delay scan.  To print the
+digests of the current program:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -48,6 +51,8 @@ GOLDEN = {
     "verify legendre_7x49": "6293c05bd325385125e1babfb631d43fe57120e5cebc89f63bbc9a92f014d5a1",
     "verify bjorck_7x49": "7d87bebab7ced16f8bf7cc79fa3ac3927eab9d9d8a408705b9a2a68a244ac68d",
     "verify bjorck_23x529": "5c65851c08f27f6e8d4c3d78861cedf220c943e6b665a4c39ac72627f35966a7",
+    "verify legendre_7x49 --empirical-budget 7": "f88caf36b9ff25f1b04ecd1ccd0536c60fb5b6a036ee39b11cee520480896c78",
+    "verify bjorck_7x49 --empirical-budget 9": "35665953a6d89233eb9d1f1ffa629a914c196873fd822a28ae6b7a8d442b0b1e",
 }
 
 
@@ -81,6 +86,10 @@ def digests(workdir: Path) -> dict[str, str]:
     for name in ("legendre_7x49", "bjorck_7x49", "bjorck_23x529"):
         argv = ["verify", "--set", str(workdir / f"{name}.json"), "--kind", "both"]
         got[f"verify {name}"] = _sha(_run(argv).encode())
+    for name, budget in (("legendre_7x49", "7"), ("bjorck_7x49", "9")):
+        argv = ["verify", "--set", str(workdir / f"{name}.json"), "--kind", "both",
+                "--empirical-budget", budget]
+        got[f"verify {name} --empirical-budget {budget}"] = _sha(_run(argv).encode())
     return got
 
 

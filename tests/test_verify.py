@@ -14,6 +14,7 @@ from lazforge import (
     cyclic_shift,
     dft_submatrix,
     empirical_zone,
+    make_hmatrix,
     periodic_af,
     power_lpnf,
     power_map_params,
@@ -21,7 +22,7 @@ from lazforge import (
     quad_lpnf,
     reproduce_table,
 )
-from lazforge.ambiguity import MAG_TOL_SCALE
+from lazforge.ambiguity import MAG_TOL_SCALE, _af_blocks
 
 
 class TestCertify:
@@ -160,16 +161,18 @@ def direct_rectangles(s, budgets, kind):
 
 class TestEmpiricalZone:
     @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
-    @pytest.mark.parametrize("shape", ["5x25", "7x49", "random 5x25"])
+    @pytest.mark.parametrize("shape", ["5x25", "7x49", "random 5x25", "random 4x24"])
     def test_matches_direct_sum_grid(self, shape, kind, set_7_7):
         if shape == "7x49":
             s, k = set_7_7, 7
         elif shape == "5x25":
             s, k = build_laz_set(quad_lpnf(5, 2, 1, 5), dft_submatrix(5)), 5
         else:  # no zone structure, so the fronts have many corners
+            m, n = map(int, shape.split()[1].split("x"))
             rng = np.random.default_rng(5)
-            s, k = SequenceSet(tuple(UnimodSequence(2 * np.pi * rng.random(25)) for _ in range(5))), 10
-        budgets = [0.0, k / 2, k, k + 1, k + 2, k + 3, 2 * k]
+            s, k = SequenceSet(tuple(UnimodSequence(2 * np.pi * rng.random(n)) for _ in range(m))), 10
+        # budget L never stops early; the even length 24 has tau = L/2 = -L/2
+        budgets = [0.0, k / 2, k, k + 1, k + 2, k + 3, 2 * k, float(s.length)]
         want = direct_rectangles(s, budgets, kind)
         assert [empirical_zone(s, b, kind) for b in budgets] == want
 
@@ -193,9 +196,28 @@ class TestEmpiricalZone:
         assert xs == sorted(xs)
         assert ys == sorted(ys, reverse=True)
 
+    @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
+    @pytest.mark.parametrize("n,k,h", [(7, 7, "legendre"), (35, 35, "dft")])
+    def test_scan_stops_at_first_over_budget_row(self, monkeypatch, n, k, h, kind):
+        requested = []
+
+        def recording(mat, ii, jj, taus, *rest):
+            requested.extend(taus)
+            return _af_blocks(mat, ii, jj, taus, *rest)
+
+        monkeypatch.setattr("lazforge.verify._af_blocks", recording)
+        s = build_laz_set(quad_lpnf(n, 1, 0, k), make_hmatrix(h, n))
+        rects = empirical_zone(s, predicted_params(n, k, kind).theta, kind)
+        # chunks at most double the delays scanned, never the whole length
+        assert max(map(abs, requested)) <= 2 * rects[-1][0] < s.length
+
     def test_negative_budget_rejected(self, set_7_7):
         with pytest.raises(PreconditionError):
             empirical_zone(set_7_7, -1.0, "periodic")
+
+    def test_unknown_kind_rejected(self, set_7_7):
+        with pytest.raises(PreconditionError):
+            empirical_zone(set_7_7, 7.0, "Periodic")
 
 
 class TestReproduceTable:

@@ -92,7 +92,9 @@ def _af_blocks(
             else:
                 np.multiply(a[:, -tau:], bc[:, : n + tau], out=c[:, -tau:])
                 c[:, :-tau] = 0
-            yield lo, r, n * np.fft.ifft(c, axis=1)[:, vidx]
+            block = np.fft.ifft(c, axis=1)[:, vidx]
+            block *= n
+            yield lo, r, block
 
 
 def _pair_rows(

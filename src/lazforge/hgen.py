@@ -6,6 +6,9 @@ A companion matrix must satisfy, for all row pairs i != j and 0 <= v < N:
     |sum_n h_i(n) h_j*(n)|            <= 1
     |sum_n h_i(n) h_j*(n) w_N^{nv}|   <  N
 
+Both magnitudes are symmetric in (i, j), so the verifier scans only the pairs
+i < j, and its witnesses always have i < j.
+
 Four families are provided: columns of a DFT matrix one size up, and cyclic
 shifts of Legendre, m-, and Björck sequences.  The verifier is authoritative;
 generators do not promise the constraints for orders outside supported_orders.
@@ -43,43 +46,38 @@ class HReport:
 def verify_h_constraints(h: SequenceSet) -> HReport:
     """Exhaustive scan of both constraints over i != j and 0 <= v < N.
 
-    A set that is not square is a PreconditionError.  Rows i are scanned in
-    blocks of at most SCAN_BLOCK_ENTRIES products, and only each (i, j)'s
-    maximum over v and its first maximising v are kept.
+    A set that is not square is a PreconditionError.  As
+    |sum_n h_j h_i* w_N^{nv}| = |sum_n h_i h_j* w_N^{-nv}|, only the pairs
+    i < j are scanned, in blocks of at most SCAN_BLOCK_ENTRIES products,
+    keeping each pair's maximum over v and its first maximising v.  Each
+    witness is the first pair i < j, in lexicographic order, at the maximum.
     """
     n = h.size
     if h.length != n:
         raise PreconditionError(f"companion matrix must be square, got {n} x {h.length}")
-    r = h.matrix
-    rc = np.conj(r)
-    inner = np.empty((n, n))
-    mod_max = np.empty((n, n))
-    mod_v = np.empty((n, n), dtype=np.int64)
-    step = max(1, SCAN_BLOCK_ENTRIES // (n * n))
-    for lo in range(0, n, step):
-        prod = r[lo : lo + step, None, :] * rc[None, :, :]  # (i, j, n)
-        rows = slice(lo, lo + len(prod))
-        inner[rows] = np.abs(prod.sum(axis=2))
-        modulated = np.abs(n * np.fft.ifft(prod, axis=2))  # v runs along axis 2
-        mod_max[rows] = modulated.max(axis=2)
-        mod_v[rows] = modulated.argmax(axis=2)
-    diag = np.eye(n, dtype=bool)
-    inner[diag] = -1.0
-    mod_max[diag] = -1.0
+    if n == 1:
+        return HReport(-1.0, -1.0, True, None, None)
+    r, rc = h.matrix, np.conj(h.matrix)
+    ii, jj = np.triu_indices(n, 1)
+    inner, mod_max = np.empty((2, len(ii)))
+    mod_v = np.empty(len(ii), dtype=np.int64)
+    step = max(1, SCAN_BLOCK_ENTRIES // n)
+    for lo in range(0, len(ii), step):
+        pairs = slice(lo, lo + step)
+        prod = r.take(ii[pairs], axis=0)
+        prod *= rc.take(jj[pairs], axis=0)
+        inner[pairs] = np.abs(prod.sum(axis=1))
+        prod = np.fft.ifft(prod, axis=1)  # v runs along axis 1
+        prod *= n
+        modulated = np.abs(prod)
+        mod_max[pairs] = modulated.max(axis=1)
+        mod_v[pairs] = modulated.argmax(axis=1)
 
-    i, j = np.unravel_index(int(np.argmax(inner)), inner.shape)
-    max_inner = float(inner[i, j])
-    iw, jw = np.unravel_index(int(np.argmax(mod_max)), mod_max.shape)
-    vw = mod_v[iw, jw]
-    max_mod = float(mod_max[iw, jw])
+    p, q = int(np.argmax(inner)), int(np.argmax(mod_max))
+    max_inner, max_mod = float(inner[p]), float(mod_max[q])
     passed = max_inner <= 1.0 + INNER_TOL and max_mod <= n - MODULATED_MARGIN
-    return HReport(
-        max_offdiag_inner=max_inner,
-        max_modulated=max_mod,
-        passed=passed,
-        inner_witness=(int(i), int(j)) if n > 1 else None,
-        modulated_witness=(int(iw), int(jw), int(vw)) if n > 1 else None,
-    )
+    return HReport(max_inner, max_mod, passed,
+                   (int(ii[p]), int(jj[p])), (int(ii[q]), int(jj[q]), int(mod_v[q])))
 
 
 def _shift_rows(row0: UnimodSequence) -> SequenceSet:

@@ -352,7 +352,22 @@ def read_json(path: str | Path):
 
 
 def save_sequence_set(s: SequenceSet, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(sequence_set_to_dict(s), indent=2) + "\n")
+    """Write s in the format above, byte for byte the text of
+    json.dumps(sequence_set_to_dict(s), indent=2) + "\\n".
+
+    Python's json encodes in C only when indent is None, and its pure-Python
+    indenter takes several times longer than formatting the members with one
+    format string, as here.  repr is json's float format.
+    """
+    d = sequence_set_to_dict(s)
+    rows = d.pop("members")
+    entry = "      %r"
+    if d["phase_mode"] == "rational":
+        entry, rows = "      [\n        %d,\n        %d\n      ]", chain.from_iterable(rows)
+    row = "    [\n" + ",\n".join([entry] * s.length) + "\n    ]"
+    members = ",\n".join([row] * s.size) % tuple(chain.from_iterable(rows))
+    header = json.dumps(d, indent=2)[:-2]  # without the closing "\n}"
+    Path(path).write_text(f'{header},\n  "members": [\n{members}\n  ]\n}}\n')
 
 
 def load_sequence_set(path: str | Path) -> SequenceSet:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lazforge import (
     Phase,
@@ -17,6 +19,7 @@ from lazforge import (
     supported_orders,
     verify_h_constraints,
 )
+from lazforge.hgen import INNER_TOL, MODULATED_MARGIN
 
 
 def entries(row):
@@ -25,6 +28,21 @@ def entries(row):
 
 def plusminus(row):
     return [1 if p.turns == 0 else -1 for p in entries(row)]
+
+
+@st.composite
+def square_sets(draw):
+    """N x N sets, N in 2..12: rational rows over denominators up to 12, or
+    float angles."""
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        dens = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+        rows = [UnimodSequence(draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)), d)
+                for d in dens]
+    else:
+        angle = st.floats(0, 2 * math.pi, exclude_max=True)
+        rows = [UnimodSequence(draw(st.lists(angle, min_size=n, max_size=n))) for _ in range(n)]
+    return SequenceSet(tuple(rows))
 
 
 class TestDftSubmatrix:
@@ -146,7 +164,8 @@ class TestVerifier:
         assert not rep.passed
         assert abs(rep.max_modulated - 4) < 1e-12
         i, j, v = rep.modulated_witness
-        assert i != j and v == 0
+        assert i < j and v == 0
+        assert rep.inner_witness[0] < rep.inner_witness[1]
         assert abs(rep.max_offdiag_inner - 4) < 1e-12
 
     @pytest.mark.parametrize("kind,order", [("dft", 31), ("legendre", 23), ("bjorck", 29),
@@ -156,9 +175,29 @@ class TestVerifier:
         # the whole matrix in one block
         h = make_hmatrix(kind, order)
         whole = verify_h_constraints(h)
-        for entries_per_block in (1, 4 * order * order):
+        for entries_per_block in (1, 3 * order + 1, 4 * order * order):
             monkeypatch.setattr("lazforge.hgen.SCAN_BLOCK_ENTRIES", entries_per_block)
             assert verify_h_constraints(h) == whole
+
+    @given(square_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_direct_ordered_pair_sums(self, h):
+        # every ordered pair i != j, inner products by np.vdot and modulated
+        # sums against an explicit DFT matrix, with no FFT and no symmetry
+        n, r = h.size, h.matrix
+        dft = np.exp(2j * np.pi * np.outer(range(n), range(n)) / n)  # [t, v] = w_N^{tv}
+        inner = {(i, j): abs(np.vdot(r[j], r[i])) for i in range(n) for j in range(n) if i != j}
+        modulated = {(i, j): np.abs((r[i] * np.conj(r[j])) @ dft) for i, j in inner}
+        max_inner = max(inner.values())
+        max_mod = max(row.max() for row in modulated.values())
+        rep = verify_h_constraints(h)
+        assert abs(rep.max_offdiag_inner - max_inner) <= 1e-9
+        assert abs(rep.max_modulated - max_mod) <= 1e-9
+        assert rep.passed == (max_inner <= 1 + INNER_TOL and max_mod <= n - MODULATED_MARGIN)
+        i, j = rep.inner_witness
+        assert i < j and abs(inner[i, j] - rep.max_offdiag_inner) <= 1e-9
+        i, j, v = rep.modulated_witness
+        assert i < j and abs(modulated[i, j][v] - rep.max_modulated) <= 1e-9
 
     def test_from_set_requires_square(self, set_7_7):
         with pytest.raises(PreconditionError):

@@ -1,6 +1,8 @@
 import cmath
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from lazforge import (
 from lazforge.seqcore import (
     MAX_DENOMINATOR,
     TWO_PI,
+    save_sequence_set,
     sequence_set_from_dict,
     sequence_set_to_dict,
 )
@@ -43,6 +46,19 @@ def entries(s):
 
 def rational_sequences(min_size=1, max_size=24):
     return st.lists(rational_phases, min_size=min_size, max_size=max_size).map(seq)
+
+
+def saved_bytes(s):
+    """The bytes save_sequence_set writes for s."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "set.json"
+        save_sequence_set(s, path)
+        return path.read_bytes()
+
+
+def json_bytes(s):
+    """The reference text of a set file: the standard library's indented JSON."""
+    return (json.dumps(sequence_set_to_dict(s), indent=2) + "\n").encode()
 
 
 class TestPhase:
@@ -172,6 +188,7 @@ class TestSetFormat:
         assert d["phase_mode"] == "float"
         back = sequence_set_from_dict(json.loads(json.dumps(d)))
         assert np.allclose(back.matrix, s.matrix, atol=1e-15)
+        assert saved_bytes(s) == json_bytes(s)
 
     def test_declared_shape_checked(self):
         d = sequence_set_to_dict(SequenceSet((UnimodSequence([0], 1),)))
@@ -339,3 +356,4 @@ class TestSetFileValidation:
         back = sequence_set_from_dict(json.loads(json.dumps(sequence_set_to_dict(s))))
         assert back == s
         assert sequence_set_to_dict(back) == sequence_set_to_dict(s)
+        assert saved_bytes(s) == json_bytes(s)

@@ -49,7 +49,6 @@ from .lpnf import (
     quad_lpnf,
 )
 from .seqcore import (
-    Phase,
     SequenceSet,
     UnimodSequence,
     Zone,

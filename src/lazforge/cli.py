@@ -33,11 +33,12 @@ from .lpnf import (
     quad_lpnf,
 )
 from .seqcore import (
+    KINDS,
     Zone,
+    format_sequence_set,
     load_sequence_set,
     read_json,
     save_sequence_set,
-    sequence_set_to_dict,
 )
 from .verify import certify_laz, cyclic_distinct, empirical_zone, reproduce_table
 
@@ -46,12 +47,15 @@ def _round9(x: float) -> float:
     return float(f"{x:.9g}")
 
 
-def _json_out(obj, path: str | None = None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+def _write(text: str, path: str | None = None) -> None:
     if path:
         Path(path).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _json_out(obj, path: str | None = None) -> None:
+    _write(json.dumps(obj, indent=2) + "\n", path)
 
 
 def _meta_path(out: str) -> Path:
@@ -76,18 +80,11 @@ def _cmd_gen(args) -> int:
     s = build_laz_set(f, h)
     save_sequence_set(s, args.output)
     if family[0] == "power":
-        params = {k: power_map_params(family[1], k) for k in ("periodic", "aperiodic")}
+        params = {k: power_map_params(family[1], k) for k in KINDS}
     else:
-        params = {
-            k: predicted_params(family[1], family[2], k)
-            for k in ("periodic", "aperiodic")
-        }
-    meta = {
-        "family": family[0],
-        "h_kind": args.h,
-        "periodic": params["periodic"].to_dict(),
-        "aperiodic": params["aperiodic"].to_dict(),
-    }
+        params = {k: predicted_params(family[1], family[2], k) for k in KINDS}
+    meta = {"family": family[0], "h_kind": args.h}
+    meta.update((k, params[k].to_dict()) for k in KINDS)
     _json_out(meta, str(_meta_path(args.output)))
     print(f"wrote {args.output} ({s.size} sequences of length {s.length})")
     return 0
@@ -115,7 +112,7 @@ def _cmd_hgen(args) -> int:
     if args.kind is None or args.n is None:
         print("error: --kind and --n are required to generate", file=sys.stderr)
         return 2
-    _json_out(sequence_set_to_dict(make_hmatrix(args.kind, args.n)), args.output)
+    _write(format_sequence_set(make_hmatrix(args.kind, args.n)), args.output)
     return 0
 
 
@@ -150,11 +147,7 @@ def _cmd_af(args) -> int:
         for c, v in enumerate(zone.dopplers()):
             z = grid[r, c]
             lines.append(f"{tau},{v},{z.real:.9g},{z.imag:.9g},{abs(z):.9g}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -200,12 +193,9 @@ def _cmd_tables(args) -> int:
 
 def _cmd_verify(args) -> int:
     s = load_sequence_set(args.set)
-    meta_path = Path(args.meta) if args.meta else _meta_path(args.set)
-    if not meta_path.exists():
-        raise PreconditionError(f"no claimed parameters found at {meta_path}")
-    meta = read_json(meta_path)
-    kinds = ("periodic", "aperiodic") if args.kind == "both" else (args.kind,)
-    distinct = cyclic_distinct(s, mode="phase")
+    meta = read_json(args.meta or _meta_path(args.set))
+    kinds = KINDS if args.kind == "both" else (args.kind,)
+    distinct = cyclic_distinct(s)
     out = {"certificates": [], "all_pass": True}
     for kind in kinds:
         params = LazParams.from_dict(meta.get(kind) if isinstance(meta, dict) else None)
@@ -273,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("af", help="evaluate an ambiguity surface as CSV")
     p.add_argument("--set", required=True)
     p.add_argument("--pair", nargs=2, type=int, default=[0, 0], metavar=("I", "J"))
-    p.add_argument("--kind", choices=("periodic", "aperiodic"), required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--zx", type=int, required=True)
     p.add_argument("--zy", type=int, required=True)
     p.add_argument("-o", "--output")
@@ -285,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zx", type=int, required=True)
     p.add_argument("--zy", type=int, required=True)
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--kind", choices=("periodic", "aperiodic"), required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("tables", help="recompute reference tables")
@@ -296,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify a set against its claimed parameters")
     p.add_argument("--set", required=True)
     p.add_argument("--meta", help="claimed parameters (default: sidecar of --set)")
-    p.add_argument("--kind", choices=("periodic", "aperiodic", "both"), default="both")
+    p.add_argument("--kind", choices=(*KINDS, "both"), default="both")
     p.add_argument("--empirical-budget", type=float)
     p.set_defaults(func=_cmd_verify)
 

@@ -1,19 +1,17 @@
-"""Core types: unit-modulus phases (exact roots of unity or float angles),
-unimodular sequences, sequence sets, and delay-Doppler zones.
+"""Core types: unimodular sequences, sequence sets, and delay-Doppler zones.
 
-All constructed sequences in this package have root-of-unity entries, which a
-sequence keeps as integer numerators over one shared denominator, so that
-magnitude comparisons downstream are bit-stable.  Float angles exist only for
-families whose phases are not roots of unity (Björck rows).
+A sequence holds its phases in one array; there is no per-entry phase type.
+Root-of-unity entries are kept as integer numerators over one shared
+denominator, so that magnitude comparisons downstream are bit-stable.  Float
+angles exist only for families whose phases are not roots of unity (Björck
+rows).
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -40,61 +38,6 @@ KINDS = ("periodic", "aperiodic")
 def check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise PreconditionError(f"kind must be one of {KINDS}, got {kind!r}")
-
-
-@dataclass(frozen=True)
-class Phase:
-    """A unit-modulus complex number exp(2*pi*i*x), the scalar of a sequence:
-    either `turns` (x as an exact Fraction in [0, 1)) or `angle` (2*pi*x in
-    radians, in [0, 2*pi)) is set."""
-
-    turns: Fraction | None = None
-    angle: float | None = None
-
-    def __post_init__(self):
-        if (self.turns is None) == (self.angle is None):
-            raise PreconditionError("exactly one of turns/angle must be set")
-        if self.turns is not None:
-            object.__setattr__(self, "turns", self.turns % 1)
-        else:
-            object.__setattr__(self, "angle", float(self.angle) % TWO_PI % TWO_PI)
-
-    @classmethod
-    def rational(cls, numerator: int, denominator: int) -> "Phase":
-        if denominator <= 0:
-            raise PreconditionError("denominator must be positive")
-        return cls(turns=Fraction(numerator, denominator))
-
-    @classmethod
-    def radians(cls, angle: float) -> "Phase":
-        return cls(angle=angle)
-
-    @classmethod
-    def one(cls) -> "Phase":
-        return cls(turns=Fraction(0))
-
-    @property
-    def is_rational(self) -> bool:
-        return self.turns is not None
-
-    def to_angle(self) -> float:
-        if self.turns is not None:
-            return TWO_PI * float(self.turns)
-        return self.angle
-
-    @property
-    def value(self) -> complex:
-        return cmath.exp(1j * self.to_angle())
-
-    def conjugate(self) -> "Phase":
-        if self.turns is not None:
-            return Phase(turns=-self.turns)
-        return Phase(angle=-self.angle)
-
-    def __mul__(self, other: "Phase") -> "Phase":
-        if self.turns is not None and other.turns is not None:
-            return Phase(turns=self.turns + other.turns)
-        return Phase(angle=self.to_angle() + other.to_angle())
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,11 +72,6 @@ class UnimodSequence:
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "denominator", d)
 
-    def __getitem__(self, t: int) -> Phase:
-        if self.denominator is None:
-            return Phase.radians(float(self.phases[t]))
-        return Phase.rational(int(self.phases[t]), self.denominator)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, UnimodSequence):
             return NotImplemented
@@ -161,29 +99,20 @@ class UnimodSequence:
         """Entries as a complex128 vector (cached; the dataclass is frozen)."""
         return np.exp(1j * self.angles)
 
-    def scaled(self, c: Phase) -> "UnimodSequence":
-        if self.is_rational and c.is_rational:
-            x = c.turns
-            d = math.lcm(self.denominator, x.denominator)
-            turns = self.phases * (d // self.denominator) + x.numerator * (d // x.denominator)
-            return UnimodSequence(turns, d)
-        return UnimodSequence(self.angles + c.to_angle())
-
 
 def cyclic_shift(s: UnimodSequence, tau: int) -> UnimodSequence:
     """result(t) = s(t + tau mod N); positive tau shifts left."""
     return UnimodSequence(np.roll(s.phases, -tau), s.denominator)
 
 
-def equal_up_to_shift(
-    s: UnimodSequence, t: UnimodSequence, allow_phase: bool = False
-) -> tuple[int, Phase] | None:
-    """Witness (tau, c) such that t == c * cyclic_shift(s, tau), if one exists.
+def equal_up_to_shift(s: UnimodSequence, t: UnimodSequence) -> int | None:
+    """The first tau such that t == c * cyclic_shift(s, tau) for some
+    unit-modulus constant c (c = 1 included), or None if there is none.
 
-    Without allow_phase the scalar c is required to be 1.  Candidate shifts
-    are located by an FFT correlation peak and then confirmed by comparing
-    whole sequences (exactly for rational phases, entry by entry within
-    FLOAT_PHASE_TOL otherwise).
+    Candidate shifts are located by an FFT correlation peak and then confirmed
+    on the phase arrays: exactly when both sequences are rational (the phase
+    differences are one constant), entry by entry within FLOAT_PHASE_TOL
+    otherwise.
     """
     if s.length != t.length:
         raise PreconditionError("sequences must have equal length")
@@ -194,11 +123,16 @@ def equal_up_to_shift(
     corr = np.fft.ifft(np.fft.fft(t.values) * np.conj(np.fft.fft(s.values)))
     candidates = np.nonzero(np.abs(corr) >= n - 0.5)[0]
     for tau in sorted((-int(k)) % n for k in candidates):
-        c = t[0] * s[tau].conjugate() if allow_phase else Phase.one()
-        u = cyclic_shift(s, tau).scaled(c)
-        exact = u.is_rational and t.is_rational
-        if (u == t) if exact else np.all(np.abs(u.values - t.values) <= FLOAT_PHASE_TOL):
-            return tau, c
+        if s.is_rational and t.is_rational:
+            d = math.lcm(s.denominator, t.denominator)
+            u = np.roll(s.phases, -tau) * (d // s.denominator)
+            diff = (t.phases * (d // t.denominator) - u) % d
+            if np.all(diff == diff[0]):
+                return tau
+        else:
+            u = np.roll(s.values, -tau)
+            if np.all(np.abs(u * (t.values[0] / u[0]) - t.values) <= FLOAT_PHASE_TOL):
+                return tau
     return None
 
 
@@ -351,8 +285,8 @@ def read_json(path: str | Path):
         raise PreconditionError(f"{path} is not valid JSON: {e}") from None
 
 
-def save_sequence_set(s: SequenceSet, path: str | Path) -> None:
-    """Write s in the format above, byte for byte the text of
+def format_sequence_set(s: SequenceSet) -> str:
+    """s in the format above, byte for byte the text of
     json.dumps(sequence_set_to_dict(s), indent=2) + "\\n".
 
     Python's json encodes in C only when indent is None, and its pure-Python
@@ -367,7 +301,11 @@ def save_sequence_set(s: SequenceSet, path: str | Path) -> None:
     row = "    [\n" + ",\n".join([entry] * s.length) + "\n    ]"
     members = ",\n".join([row] * s.size) % tuple(chain.from_iterable(rows))
     header = json.dumps(d, indent=2)[:-2]  # without the closing "\n}"
-    Path(path).write_text(f'{header},\n  "members": [\n{members}\n  ]\n}}\n')
+    return f'{header},\n  "members": [\n{members}\n  ]\n}}\n'
+
+
+def save_sequence_set(s: SequenceSet, path: str | Path) -> None:
+    Path(path).write_text(format_sequence_set(s))
 
 
 def load_sequence_set(path: str | Path) -> SequenceSet:

@@ -18,7 +18,7 @@ from .ambiguity import (
 from .bounds import BoundReport, optimality_factor
 from .construct import LazParams
 from .errors import PreconditionError
-from .seqcore import SCAN_BLOCK_ENTRIES, Phase, SequenceSet, check_kind, equal_up_to_shift
+from .seqcore import SCAN_BLOCK_ENTRIES, SequenceSet, check_kind, equal_up_to_shift
 from .tables import TABLES, ReferenceTable, TableRow
 
 TABLE_RHO_TOL = 1e-5
@@ -27,21 +27,18 @@ TABLE_RHO_TOL = 1e-5
 @dataclass(frozen=True)
 class DistinctReport:
     distinct: bool
-    witness: tuple[int, int, int, Phase] | None  # (i, j, tau, phase)
+    witness: tuple[int, int, int] | None  # (i, j, tau)
 
 
-def cyclic_distinct(s: SequenceSet, mode: str = "exact") -> DistinctReport:
-    """No member is a cyclic shift of another (times a unimodular scalar in
-    phase mode).  Returns the first offending (i, j, tau, phase) otherwise."""
-    if mode not in ("exact", "phase"):
-        raise PreconditionError(f"mode must be 'exact' or 'phase', got {mode!r}")
-    allow_phase = mode == "phase"
+def cyclic_distinct(s: SequenceSet) -> DistinctReport:
+    """No member is a cyclic shift of another times a unit-modulus constant
+    (1 included).  Otherwise the witness is the first (i, j, tau), i < j, with
+    s_j == c * cyclic_shift(s_i, tau); the constant is c = s_j(0) / s_i(tau)."""
     for i in range(s.size):
         for j in range(i + 1, s.size):
-            hit = equal_up_to_shift(s[i], s[j], allow_phase=allow_phase)
-            if hit is not None:
-                tau, c = hit
-                return DistinctReport(distinct=False, witness=(i, j, tau, c))
+            tau = equal_up_to_shift(s[i], s[j])
+            if tau is not None:
+                return DistinctReport(distinct=False, witness=(i, j, tau))
     return DistinctReport(distinct=True, witness=None)
 
 
@@ -84,8 +81,8 @@ def certify_laz(
     """Exhaustively measure theta over the claimed zone and compare against
     the claim (tolerance 1e-6 times the length).
 
-    `distinct` is the set's phase-mode `cyclic_distinct` report when the
-    caller already has it; otherwise it is computed here.
+    `distinct` is the set's `cyclic_distinct` report when the caller already
+    has it; otherwise it is computed here.
     """
     if s.size != params.set_size or s.length != params.length:
         raise PreconditionError("set shape does not match the claimed parameters")
@@ -101,7 +98,7 @@ def certify_laz(
     except PreconditionError:
         bound = None  # zone too small for the bound to be informative
     if distinct is None:
-        distinct = cyclic_distinct(s, mode="phase")
+        distinct = cyclic_distinct(s)
     return LazCertificate(
         claimed=params,
         measured_theta=report.theta_max,

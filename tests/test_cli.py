@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lazforge import make_hmatrix
 from lazforge.cli import main
+from lazforge.seqcore import sequence_set_to_dict
 
 
 def run(capsys, *argv):
@@ -132,6 +134,15 @@ class TestHgen:
 
     def test_bad_positional(self, capsys):
         assert run(capsys, "hgen", "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize("kind, n", [("dft", 9), ("bjorck", 7)])
+    def test_file_bytes_equal_stdout(self, tmp_path, capsys, kind, n):
+        # one rational and one float family; json's indented text is the reference
+        out = tmp_path / "h.json"
+        assert run(capsys, "hgen", "--kind", kind, "--n", str(n), "-o", str(out)) == (0, "", "")
+        code, stdout, _ = run(capsys, "hgen", "--kind", kind, "--n", str(n))
+        assert code == 0 and out.read_bytes() == stdout.encode()
+        assert stdout == json.dumps(sequence_set_to_dict(make_hmatrix(kind, n)), indent=2) + "\n"
 
 
 class TestAfCsv:
@@ -282,11 +293,15 @@ class TestFailClosedLoading:
         ["verify", "--set", "{good}", "--meta", "{missing}"],
         ["af", "--set", "{missing}", "--kind", "periodic", "--zx", "2", "--zy", "2"],
         ["hgen", "verify", "{missing}"],
+        ["verify", "--set", "{bare}"],
     ])
     def test_missing_file_is_refused(self, files, capsys, tmp_path, argv):
-        paths = {"missing": tmp_path / "nosuch.json", "good": files["good"]}
+        bare = tmp_path / "bare.json"  # a good set without its sidecar meta file
+        bare.write_bytes(files["good"].read_bytes())
+        paths = {"missing": tmp_path / "nosuch.json", "good": files["good"], "bare": bare}
         code, stdout, err = run(capsys, *(a.format(**paths) for a in argv))
         assert (code, stdout) == (3, "") and err.startswith("error:")
+        assert "nosuch.json" in err or "bare.meta.json" in err
 
     @pytest.mark.parametrize("bad", ["square_nan", "truncated", "non_square"])
     def test_hgen_verify_refuses_bad_matrix(self, files, capsys, bad):

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from lazforge import (
     LazParams,
-    Phase,
     PreconditionError,
     SequenceSet,
     UnimodSequence,
@@ -79,7 +79,8 @@ def move_entry(u, index):
 
 
 def entries(s):
-    return tuple(s[t] for t in range(s.length))
+    """A rational sequence's entries, each as a reduced Fraction of a turn."""
+    return tuple(Fraction(int(k), s.denominator) for k in s.phases)
 
 
 class TestBuildLazSet:
@@ -87,13 +88,13 @@ class TestBuildLazSet:
         f = quad_lpnf(7, 1, 0, 7)
         h = legendre_shifts(7)
         for n, t, m in ((2, 3, 4), (5, 6, 0), (1, 0, 6)):
-            want = h[n][m] * Phase.rational(t * f.table[m], 7)
-            assert set_7_7[n][t * 7 + m] == want
+            want = (entries(h[n])[m] + Fraction(t * f.table[m], 7)) % 1
+            assert entries(set_7_7[n])[t * 7 + m] == want
 
     def test_denominators_divide_lcm(self, set_7_7):
         # legendre entries have denominator 1 or 2; base phases denominator 7
         target = math.lcm(7, 2)
-        assert all(target % p.turns.denominator == 0 for mem in set_7_7 for p in entries(mem))
+        assert all(target % x.denominator == 0 for mem in set_7_7 for x in entries(mem))
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(PreconditionError, match="order"):

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lazforge import (
-    Phase,
     PreconditionError,
     SequenceSet,
     UnimodSequence,
@@ -21,27 +21,39 @@ from lazforge import (
 )
 from lazforge.seqcore import (
     MAX_DENOMINATOR,
+    FLOAT_PHASE_TOL,
     TWO_PI,
     save_sequence_set,
     sequence_set_from_dict,
     sequence_set_to_dict,
 )
 
+# a rational phase: the turns x of exp(2*pi*i*x), in [0, 1)
 rational_phases = st.builds(
-    lambda num, den: Phase.rational(num % den, den),
+    lambda num, den: Fraction(num % den, den),
     st.integers(0, 400),
     st.integers(1, 48),
 )
 
+angles = st.floats(0, TWO_PI, exclude_max=True)
+
 
 def seq(phases):
     """The rational sequence whose entries are the given rational phases."""
-    d = math.lcm(*(p.turns.denominator for p in phases))
-    return UnimodSequence([p.turns.numerator * (d // p.turns.denominator) for p in phases], d)
+    d = math.lcm(*(p.denominator for p in phases))
+    return UnimodSequence([p.numerator * (d // p.denominator) for p in phases], d)
 
 
 def entries(s):
-    return [s[t] for t in range(s.length)]
+    """A rational sequence's entries, each as a reduced Fraction of a turn."""
+    return [Fraction(int(k), s.denominator) for k in s.phases]
+
+
+def complex_entries(s):
+    """A sequence's entries as complex numbers, computed one by one."""
+    if s.is_rational:
+        return [cmath.exp(2j * math.pi * x) for x in entries(s)]
+    return [cmath.exp(1j * float(a)) for a in s.phases]
 
 
 def rational_sequences(min_size=1, max_size=24):
@@ -61,49 +73,9 @@ def json_bytes(s):
     return (json.dumps(sequence_set_to_dict(s), indent=2) + "\n").encode()
 
 
-class TestPhase:
-    def test_mul_quarter_turns(self):
-        i = Phase.rational(1, 4)
-        assert i * i == Phase.rational(1, 2)  # i * i = -1
-
-    def test_mul_by_one(self):
-        assert Phase.rational(0, 1) * Phase.rational(3, 8) == Phase.rational(3, 8)
-
-    def test_conjugate_pair(self):
-        assert Phase.rational(3, 8) * Phase.rational(5, 8) == Phase.rational(0, 1)
-
-    def test_normalized_to_unit_interval(self):
-        p = Phase.rational(9, 4)
-        assert (p.turns.numerator, p.turns.denominator) == (1, 4)
-        assert (Phase.rational(3, 4) * Phase.rational(3, 4)).turns.denominator == 2
-
-    def test_unit_modulus(self):
-        assert abs(abs(Phase.rational(3, 7).value) - 1) < 1e-15
-        assert abs(abs(Phase.radians(1.234).value) - 1) < 1e-12
-
-    @given(rational_phases, rational_phases)
-    def test_rational_product_stays_rational(self, p, q):
-        r = p * q
-        assert r.is_rational
-        assert math.lcm(p.turns.denominator, q.turns.denominator) % r.turns.denominator == 0
-
-    @given(rational_phases)
-    def test_roundtrip_through_complex(self, p):
-        ang = cmath.phase(p.value) % (2 * math.pi)
-        want = 2 * math.pi * float(p.turns)
-        diff = abs(ang - want)
-        assert min(diff, 2 * math.pi - diff) <= 1e-12
-
-    def test_requires_exactly_one_representation(self):
-        with pytest.raises(PreconditionError):
-            Phase()
-        with pytest.raises(PreconditionError):
-            Phase.rational(1, 0)
-
-
 class TestCyclicShift:
     def test_definition_unrolled(self):
-        x = [Phase.rational(k, 5) for k in range(3)]
+        x = [Fraction(k, 5) for k in range(3)]
         assert entries(cyclic_shift(seq(x), 1)) == [x[1], x[2], x[0]]
 
     def test_identity_shifts(self):
@@ -119,20 +91,15 @@ class TestCyclicShift:
 class TestEqualUpToShift:
     def test_finds_constructed_shift(self):
         s = UnimodSequence([k * k for k in range(8)], 11)
-        tau, c = equal_up_to_shift(s, cyclic_shift(s, 3))
-        assert tau == 3 and c == Phase.one()
+        assert equal_up_to_shift(s, cyclic_shift(s, 3)) == 3
 
     def test_finds_phase_scaling(self):
         s = UnimodSequence([k * k for k in range(8)], 11)
-        tau, c = equal_up_to_shift(s, s.scaled(Phase.rational(1, 4)), allow_phase=True)
-        assert tau == 0 and c == Phase.rational(1, 4)
-
-    def test_scaling_invisible_without_allow_phase(self):
-        s = UnimodSequence([k * k for k in range(8)], 11)
-        assert equal_up_to_shift(s, s.scaled(Phase.rational(1, 4))) is None
+        quarter_turn = UnimodSequence([4 * k * k + 11 for k in range(8)], 44)  # i * s
+        assert equal_up_to_shift(s, quarter_turn) == 0
 
     def test_constructed_set_members_not_shift_equivalent(self, set_7_7):
-        assert equal_up_to_shift(set_7_7[0], set_7_7[1], allow_phase=True) is None
+        assert equal_up_to_shift(set_7_7[0], set_7_7[1]) is None
 
     def test_length_mismatch(self):
         a = UnimodSequence([0], 1)
@@ -143,8 +110,7 @@ class TestEqualUpToShift:
     @given(rational_sequences(min_size=2, max_size=12))
     @settings(max_examples=30)
     def test_reflexive(self, s):
-        hit = equal_up_to_shift(s, s)
-        assert hit is not None and hit[0] == 0
+        assert equal_up_to_shift(s, s) == 0
 
     @given(rational_sequences(min_size=2, max_size=10), st.integers(0, 9))
     @settings(max_examples=30)
@@ -152,6 +118,53 @@ class TestEqualUpToShift:
         t = cyclic_shift(s, tau)
         assert equal_up_to_shift(s, t) is not None
         assert equal_up_to_shift(t, s) is not None
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_brute_force(self, data):
+        # t = c * shift(s, tau) for c rational, float or 1; sometimes one entry
+        # of t is perturbed, sometimes t is float while s stays rational.  s
+        # repeats a block of period p, so that several shifts can match
+        draw = data.draw
+        n = draw(st.integers(1, 16))
+        p = draw(st.sampled_from([p for p in range(n, 0, -1) if n % p == 0]))
+        if draw(st.booleans()):
+            block = draw(rational_sequences(min_size=p, max_size=p))
+            s = UnimodSequence(np.tile(block.phases, n // p), block.denominator)
+        else:
+            s = UnimodSequence(np.tile(draw(st.lists(angles, min_size=p, max_size=p)), n // p))
+        u = cyclic_shift(s, draw(st.integers(0, n - 1)))
+        c = draw(st.sampled_from(["one", "rational", "float"]))
+        if c == "rational" and s.is_rational:
+            x = draw(rational_phases)
+            d = math.lcm(u.denominator, x.denominator)
+            t = UnimodSequence(u.phases * (d // u.denominator) + x.numerator * (d // x.denominator), d)
+        elif c != "one" or draw(st.booleans()):
+            t = UnimodSequence(u.angles + (draw(angles) if c != "one" else 0.0))
+        else:
+            t = u
+        if draw(st.booleans()):
+            k = draw(st.integers(0, n - 1))
+            phases = t.phases.copy()
+            if t.is_rational:
+                phases = 2 * phases
+                phases[k] += draw(st.integers(1, 2 * t.denominator - 1))
+                t = UnimodSequence(phases, 2 * t.denominator)
+            else:
+                phases[k] += draw(st.floats(1e-3, TWO_PI - 1e-3))
+                t = UnimodSequence(phases)
+
+        def matches(tau):
+            if s.is_rational and t.is_rational:
+                a, b = entries(s), entries(t)
+                a = a[tau:] + a[:tau]
+                return len({(y - x) % 1 for x, y in zip(a, b)}) == 1
+            a, b = complex_entries(s), complex_entries(t)
+            a = a[tau:] + a[:tau]
+            return all(abs(x * (b[0] / a[0]) - y) <= FLOAT_PHASE_TOL for x, y in zip(a, b))
+
+        want = next((tau for tau in range(n) if matches(tau)), None)
+        assert equal_up_to_shift(s, t) == want
 
 
 class TestZone:
@@ -210,8 +223,8 @@ class TestArrayPhases:
 
     def test_entries_are_phases(self):
         s = UnimodSequence([1, 3], 6)
-        assert s[0] == Phase.rational(1, 6) and s[1] == Phase.rational(1, 2)
-        assert UnimodSequence([1.5])[0] == Phase.radians(1.5)
+        assert entries(s) == [Fraction(1, 6), Fraction(1, 2)]
+        assert UnimodSequence([1.5]).phases.tolist() == [1.5]
 
     def test_rational_and_float_never_equal(self):
         assert UnimodSequence([0], 1) != UnimodSequence([0.0])
@@ -220,7 +233,6 @@ class TestArrayPhases:
         # -1e-20 mod 2*pi rounds to 2*pi itself; it must land on 0
         s = UnimodSequence([-1e-20, 7.0, -TWO_PI])
         assert s.phases.tolist() == [0.0, 7.0 % TWO_PI, 0.0]
-        assert Phase.radians(-1e-20) == Phase.radians(0.0) == s[0]
 
     def test_phases_read_only(self):
         with pytest.raises(ValueError):
@@ -228,12 +240,7 @@ class TestArrayPhases:
 
     def test_values_match_per_entry_phases(self, set_7_7):
         for member in set_7_7:
-            want = [member[t].value for t in range(member.length)]
-            assert np.allclose(member.values, want, rtol=0, atol=1e-15)
-
-    @given(rational_sequences(), rational_phases)
-    def test_scaled_matches_per_entry_products(self, s, c):
-        assert entries(s.scaled(c)) == [c * p for p in entries(s)]
+            assert np.allclose(member.values, complex_entries(member), rtol=0, atol=1e-15)
 
 
 def _valid_rational():
@@ -339,7 +346,7 @@ class TestSetFileValidation:
 
     def test_unreduced_fractions_load(self):
         d = _set_entry(_valid_rational(), [-2, 4])
-        assert sequence_set_from_dict(d)[0][1] == Phase.rational(1, 2)
+        assert entries(sequence_set_from_dict(d)[0])[1] == Fraction(1, 2)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED, key=str))
     def test_malformed_refused(self, case):

@@ -3,7 +3,6 @@ import pytest
 
 from lazforge import (
     LazParams,
-    Phase,
     PreconditionError,
     SequenceSet,
     UnimodSequence,
@@ -85,33 +84,36 @@ class TestPredictedParameters:
 
 class TestCyclicDistinct:
     def test_constructed_set_distinct_both_modes(self, set_7_7):
-        assert cyclic_distinct(set_7_7, "exact").distinct
-        assert cyclic_distinct(set_7_7, "phase").distinct
+        # distinct up to a unit constant; a direct search over every pair and
+        # shift confirms the exact (c = 1) case
+        assert cyclic_distinct(set_7_7).distinct
+        n = set_7_7.length
+        assert all(
+            cyclic_shift(a, tau) != b
+            for i, a in enumerate(set_7_7) for b in set_7_7[i + 1:] for tau in range(n)
+        )
 
     def test_corrupted_set_fails_with_witness(self, set_7_7):
         s0 = set_7_7[0]
         bad = SequenceSet((s0, cyclic_shift(s0, 5)))
-        rep = cyclic_distinct(bad, "exact")
+        rep = cyclic_distinct(bad)
         assert not rep.distinct
-        i, j, tau, c = rep.witness
-        assert (i, j, tau) == (0, 1, 5)
-        assert c == Phase.one()
+        assert rep.witness == (0, 1, 5)
 
     def test_phase_mode_catches_scaled_shift(self, set_7_7):
         s0 = set_7_7[0]
-        bad = SequenceSet((s0, cyclic_shift(s0, 3).scaled(Phase.rational(2, 7))))
-        assert cyclic_distinct(bad, "exact").distinct
-        rep = cyclic_distinct(bad, "phase")
-        assert not rep.distinct
-        assert rep.witness[2] == 3
+        d = s0.denominator
+        scaled = UnimodSequence(7 * cyclic_shift(s0, 3).phases + 2 * d, 7 * d)  # w_7^2 times
+        assert all(cyclic_shift(s0, tau) != scaled for tau in range(s0.length))
+        bad = SequenceSet((s0, scaled))
+        rep = cyclic_distinct(bad)
+        assert not rep.distinct and rep.witness == (0, 1, 3)
+        c = bad[1].values[0] / bad[0].values[3]  # the constant, from the witness
+        assert np.allclose(bad[1].values, c * cyclic_shift(bad[0], 3).values, rtol=0, atol=1e-12)
 
     def test_singleton_vacuously_distinct(self):
         s = SequenceSet((UnimodSequence([0, 0], 1),))
         assert cyclic_distinct(s).distinct
-
-    def test_bad_mode(self, set_7_7):
-        with pytest.raises(PreconditionError):
-            cyclic_distinct(set_7_7, "fuzzy")
 
     def test_agrees_with_full_af_scan(self, set_7_7):
         # shift-with-phase equivalence of a pair is the same as some |AF|
@@ -124,7 +126,7 @@ class TestCyclicDistinct:
                 for v in range(n)
             )
             assert peak < n - 1e-6
-        assert cyclic_distinct(set_7_7, "phase").distinct
+        assert cyclic_distinct(set_7_7).distinct
 
 
 def direct_rectangles(s, budgets, kind):

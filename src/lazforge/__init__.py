@@ -53,7 +53,6 @@ from .seqcore import (
     UnimodSequence,
     Zone,
     cyclic_shift,
-    equal_up_to_shift,
     load_sequence_set,
     save_sequence_set,
 )

@@ -21,7 +21,7 @@ from .errors import PreconditionError
 from .hgen import verify_h_constraints
 from .lpnf import ZFunc, lpnf_zone_for
 from .numth import smallest_prime_factor
-from .seqcore import TWO_PI, SequenceSet, UnimodSequence, Zone, check_kind
+from .seqcore import TWO_PI, SequenceSet, Zone, check_kind
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,13 @@ def build_laz_set(f: ZFunc, h: SequenceSet) -> SequenceSet:
         )
     t, m = (a.ravel() for a in np.indices((k, n)))
     base = (t * np.asarray(f.table)[m]) % k  # w_K^{t f(m)} in turns of 1/K
-    h_phases, h_den = h.stacked_phases()
+    h_den = h.denominator
     if h_den is None:
-        d, rows = None, h_phases[:, m] + TWO_PI * (base / k)
+        d, rows = None, h.phases[:, m] + TWO_PI * (base / k)
     else:
         d = math.lcm(h_den, k)
-        rows = h_phases[:, m] * (d // h_den) + base * (d // k)
-    return SequenceSet(tuple(UnimodSequence(row, d) for row in rows))
+        rows = h.phases[:, m] * (d // h_den) + base * (d // k)
+    return SequenceSet(rows, d)
 
 
 def factor_interleaved(s: SequenceSet) -> tuple[ZFunc, SequenceSet]:
@@ -104,11 +104,11 @@ def factor_interleaved(s: SequenceSet) -> tuple[ZFunc, SequenceSet]:
     if s.length % n:
         raise PreconditionError(f"length {s.length} is not a multiple of the size {n}")
     k = s.length // n
-    phases, d = s.stacked_phases()
+    phases, d = s.phases, s.denominator
     step = np.roll(phases[0], -n)[:n] - phases[0, :n]  # all zero when K = 1
     table = np.rint(step * k / TWO_PI) % k if d is None else (step % d) * k // d
     f = ZFunc(n, k, table.astype(np.int64).tolist())
-    h = SequenceSet(tuple(UnimodSequence(row, d) for row in phases[:, :n]))
+    h = SequenceSet(phases[:, :n], d)
     if build_laz_set(f, h) != s:
         raise PreconditionError("not an interleaved set")
     return f, h

@@ -28,7 +28,7 @@ from .numth import (
     lfsr_sequence,
     smallest_primitive_polynomial,
 )
-from .seqcore import SCAN_BLOCK_ENTRIES, SequenceSet, UnimodSequence, cyclic_shift
+from .seqcore import SCAN_BLOCK_ENTRIES, SequenceSet
 
 INNER_TOL = 1e-9
 MODULATED_MARGIN = 1e-6
@@ -80,8 +80,10 @@ def verify_h_constraints(h: SequenceSet) -> HReport:
                    (int(ii[p]), int(jj[p])), (int(ii[q]), int(jj[q]), int(mod_v[q])))
 
 
-def _shift_rows(row0: UnimodSequence) -> SequenceSet:
-    return SequenceSet(tuple(cyclic_shift(row0, i) for i in range(row0.length)))
+def _shift_rows(row0, denominator: int | None = None) -> SequenceSet:
+    """The square set whose row i is row0 cyclically shifted left by i."""
+    r = np.arange(len(row0))
+    return SequenceSet(np.asarray(row0)[np.add.outer(r, r) % len(r)], denominator)
 
 
 def dft_submatrix(n: int) -> SequenceSet:
@@ -93,8 +95,7 @@ def dft_submatrix(n: int) -> SequenceSet:
     """
     if n < 2:
         raise PreconditionError("order must be at least 2")
-    turns = np.outer(range(n), range(n)) % (n + 1)
-    return SequenceSet(tuple(UnimodSequence(row, n + 1) for row in turns))
+    return SequenceSet(np.outer(range(n), range(n)), n + 1)
 
 
 def legendre_shifts(n: int) -> SequenceSet:
@@ -106,7 +107,7 @@ def legendre_shifts(n: int) -> SequenceSet:
     if not is_prime(n) or n == 2:
         raise PreconditionError("length must be an odd prime")
     minus = [t != 0 and legendre_symbol(t, n) != 1 for t in range(n)]
-    return _shift_rows(UnimodSequence(minus, 2))
+    return _shift_rows(minus, 2)
 
 
 def msequence_shifts(m: int, poly_mask: int | None = None) -> SequenceSet:
@@ -119,7 +120,7 @@ def msequence_shifts(m: int, poly_mask: int | None = None) -> SequenceSet:
         raise PreconditionError("degree must be at least 2")
     if poly_mask is None:
         poly_mask = smallest_primitive_polynomial(m)
-    return _shift_rows(UnimodSequence(lfsr_sequence(m, poly_mask), 2))
+    return _shift_rows(lfsr_sequence(m, poly_mask), 2)
 
 
 def bjorck_shifts(p: int) -> SequenceSet:
@@ -138,7 +139,7 @@ def bjorck_shifts(p: int) -> SequenceSet:
     else:
         theta = math.acos((1.0 - p) / (1.0 + p))
         angles = [theta if legendre_symbol(t, p) == -1 else 0.0 for t in range(p)]
-    return _shift_rows(UnimodSequence(angles))
+    return _shift_rows(angles)
 
 
 def supported_orders(kind: str, limit: int = 127) -> list[int]:

@@ -1,6 +1,7 @@
 """Core types: unimodular sequences, sequence sets, and delay-Doppler zones.
 
-A sequence holds its phases in one array; there is no per-entry phase type.
+A sequence holds its phases in one array, and a set holds all of its
+members' phases in one 2-D array; there is no per-entry phase type.
 Root-of-unity entries are kept as integer numerators over one shared
 denominator, so that magnitude comparisons downstream are bit-stable.  Float
 angles exist only for families whose phases are not roots of unity (Björck
@@ -40,6 +41,29 @@ def check_kind(kind: str) -> None:
         raise PreconditionError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
+def _canonical(phases, d: int | None) -> tuple[np.ndarray, int | None]:
+    """A read-only phase array of any shape, with its denominator, in the form
+    both phase types keep: numerators mod D over the smallest D that fits
+    every entry, or finite angles folded into [0, 2*pi) when D is None."""
+    try:
+        phases = np.asarray(phases, dtype=np.float64 if d is None else np.int64)
+    except (ValueError, TypeError, OverflowError):  # ragged or not numbers
+        raise PreconditionError("phases must form an array of numbers") from None
+    if d is None:
+        if not np.all(np.isfinite(phases)):
+            raise PreconditionError("angles must be finite")
+        # the outer mod folds an inner result that rounded up to 2*pi
+        phases = np.mod(np.mod(phases, TWO_PI), TWO_PI)
+    elif d <= 0:
+        raise PreconditionError("denominator must be positive")
+    else:
+        phases = phases % d
+        g = np.gcd.reduce(phases, axis=None, initial=d)
+        phases, d = phases // g, int(d // g)
+    phases.flags.writeable = False
+    return phases, d
+
+
 @dataclass(frozen=True, eq=False)
 class UnimodSequence:
     """A finite sequence of unit-modulus entries, held as one read-only array.
@@ -53,22 +77,9 @@ class UnimodSequence:
     denominator: int | None = None
 
     def __post_init__(self):
-        d = self.denominator
-        phases = np.asarray(self.phases, dtype=np.float64 if d is None else np.int64)
+        phases, d = _canonical(self.phases, self.denominator)
         if phases.ndim != 1 or phases.size < 1:
             raise PreconditionError("sequence must be a nonempty 1-D array")
-        if d is None:
-            if not np.all(np.isfinite(phases)):
-                raise PreconditionError("angles must be finite")
-            # the outer mod folds an inner result that rounded up to 2*pi
-            phases = np.mod(np.mod(phases, TWO_PI), TWO_PI)
-        elif d <= 0:
-            raise PreconditionError("denominator must be positive")
-        else:
-            phases = phases % d
-            g = np.gcd.reduce(phases, initial=d)
-            phases, d = phases // g, int(d // g)
-        phases.flags.writeable = False
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "denominator", d)
 
@@ -105,58 +116,36 @@ def cyclic_shift(s: UnimodSequence, tau: int) -> UnimodSequence:
     return UnimodSequence(np.roll(s.phases, -tau), s.denominator)
 
 
-def equal_up_to_shift(s: UnimodSequence, t: UnimodSequence) -> int | None:
-    """The first tau such that t == c * cyclic_shift(s, tau) for some
-    unit-modulus constant c (c = 1 included), or None if there is none.
-
-    Candidate shifts are located by an FFT correlation peak and then confirmed
-    on the phase arrays: exactly when both sequences are rational (the phase
-    differences are one constant), entry by entry within FLOAT_PHASE_TOL
-    otherwise.
-    """
-    if s.length != t.length:
-        raise PreconditionError("sequences must have equal length")
-    n = s.length
-    # corr[k] = sum_x t(x) s*(x-k) peaks at magnitude n exactly when
-    # t(x) = c * s(x+tau) with tau = -k mod n; the filter is permissive,
-    # the comparison below is authoritative
-    corr = np.fft.ifft(np.fft.fft(t.values) * np.conj(np.fft.fft(s.values)))
-    candidates = np.nonzero(np.abs(corr) >= n - 0.5)[0]
-    for tau in sorted((-int(k)) % n for k in candidates):
-        if s.is_rational and t.is_rational:
-            d = math.lcm(s.denominator, t.denominator)
-            u = np.roll(s.phases, -tau) * (d // s.denominator)
-            diff = (t.phases * (d // t.denominator) - u) % d
-            if np.all(diff == diff[0]):
-                return tau
-        else:
-            u = np.roll(s.values, -tau)
-            if np.all(np.abs(u * (t.values[0] / u[0]) - t.values) <= FLOAT_PHASE_TOL):
-                return tau
-    return None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SequenceSet:
-    """A set of unimodular sequences sharing one length."""
+    """Sequences of one length as one read-only (size, length) phase array,
+    row i being member i, kept as UnimodSequence keeps one row: a set is
+    rational, over one denominator of at most MAX_DENOMINATOR, or float."""
 
-    members: tuple[UnimodSequence, ...]
+    phases: np.ndarray
+    denominator: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        if not self.members:
-            raise PreconditionError("sequence set must be nonempty")
-        n = self.members[0].length
-        if any(m.length != n for m in self.members):
-            raise PreconditionError("all members must share one length")
+        phases, d = _canonical(self.phases, self.denominator)
+        if phases.ndim != 2 or phases.size < 1:
+            raise PreconditionError("sequence set must be a nonempty 2-D array")
+        if d is not None and d > MAX_DENOMINATOR:
+            raise PreconditionError(f"common denominator exceeds {MAX_DENOMINATOR}")
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "denominator", d)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SequenceSet):
+            return NotImplemented
+        return self.denominator == other.denominator and np.array_equal(self.phases, other.phases)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.phases.shape[0]
 
     @property
     def length(self) -> int:
-        return self.members[0].length
+        return self.phases.shape[1]
 
     @property
     def order(self) -> int:
@@ -165,28 +154,19 @@ class SequenceSet:
 
     @property
     def is_rational(self) -> bool:
-        return all(m.is_rational for m in self.members)
+        return self.denominator is not None
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Members stacked as a (size, length) complex matrix (cached)."""
-        return np.vstack([m.values for m in self.members])
-
-    def stacked_phases(self) -> tuple[np.ndarray, int | None]:
-        """Members' phases as one (size, length) array: numerators over their least
-        common denominator if all members are rational, else angles (denominator None)."""
-        if self.is_rational:
-            d = math.lcm(*(m.denominator for m in self.members))
-            if d > MAX_DENOMINATOR:
-                raise PreconditionError(f"common denominator exceeds {MAX_DENOMINATOR}")
-            return np.vstack([m.phases * (d // m.denominator) for m in self.members]), d
-        return np.vstack([m.angles for m in self.members]), None
+        """The set as a (size, length) complex matrix (cached)."""
+        d = self.denominator
+        return np.exp(1j * (self.phases if d is None else TWO_PI * (self.phases / d)))
 
     def __iter__(self):
-        return iter(self.members)
+        return (self[i] for i in range(self.size))
 
     def __getitem__(self, i: int) -> UnimodSequence:
-        return self.members[i]
+        return UnimodSequence(self.phases[i], self.denominator)
 
 
 @dataclass(frozen=True)
@@ -226,7 +206,7 @@ class Zone:
 
 
 def sequence_set_to_dict(s: SequenceSet) -> dict:
-    phases, d = s.stacked_phases()
+    phases, d = s.phases, s.denominator
     if d is None:
         mode, members = "float", phases.tolist()
     else:
@@ -257,16 +237,16 @@ def sequence_set_from_dict(d: dict) -> SequenceSet:
     if arr.dtype.kind not in ("i" if rational else "if") or bool in set(map(type, leaves)):
         raise PreconditionError("entries must be " + ("integers" if rational else "numbers"))
     if not rational:
-        return SequenceSet(tuple(UnimodSequence(row) for row in arr))
+        return SequenceSet(arr)
     num, den = arr[..., 0], arr[..., 1]
     if np.any(den <= 0):
         raise PreconditionError("denominators must be positive")
-    common = 1
+    common = 1  # checked as it grows: common // den must not overflow int64
     for v in np.unique(den).tolist():
         common = math.lcm(common, v)
         if common > MAX_DENOMINATOR:
             raise PreconditionError(f"common denominator exceeds {MAX_DENOMINATOR}")
-    return SequenceSet(tuple(UnimodSequence(row, common) for row in num % den * (common // den)))
+    return SequenceSet(num % den * (common // den), common)
 
 
 def _refuse_constant(name: str):

@@ -18,7 +18,7 @@ from .ambiguity import (
 from .bounds import BoundReport, optimality_factor
 from .construct import LazParams
 from .errors import PreconditionError
-from .seqcore import SCAN_BLOCK_ENTRIES, SequenceSet, check_kind, equal_up_to_shift
+from .seqcore import FLOAT_PHASE_TOL, SCAN_BLOCK_ENTRIES, TWO_PI, SequenceSet, check_kind
 from .tables import TABLES, ReferenceTable, TableRow
 
 TABLE_RHO_TOL = 1e-5
@@ -33,12 +33,31 @@ class DistinctReport:
 def cyclic_distinct(s: SequenceSet) -> DistinctReport:
     """No member is a cyclic shift of another times a unit-modulus constant
     (1 included).  Otherwise the witness is the first (i, j, tau), i < j, with
-    s_j == c * cyclic_shift(s_i, tau); the constant is c = s_j(0) / s_i(tau)."""
-    for i in range(s.size):
-        for j in range(i + 1, s.size):
-            tau = equal_up_to_shift(s[i], s[j])
-            if tau is not None:
-                return DistinctReport(distinct=False, witness=(i, j, tau))
+    s_j == c * cyclic_shift(s_i, tau); the constant is c = s_j(0) / s_i(tau).
+
+    corr_ij[tau] = sum_x s_i(x + tau) s_j*(x) has magnitude L for such a
+    tau.  It comes from the members' spectra, one inverse FFT per block of
+    SCAN_BLOCK_ENTRIES // L pairs in lexicographic order.  That filter is
+    permissive: each candidate, in ascending tau, is confirmed on the phase
+    array, exactly if rational and within FLOAT_PHASE_TOL per entry if float.
+    """
+    n, d = s.length, s.denominator
+    spectra = np.fft.fft(s.matrix, axis=1)
+    ii, jj = np.triu_indices(s.size, 1)
+    step = max(1, SCAN_BLOCK_ENTRIES // n)
+    for lo in range(0, len(ii), step):
+        pairs = slice(lo, lo + step)
+        corr = np.fft.ifft(spectra[ii[pairs]] * np.conj(spectra[jj[pairs]]), axis=1)
+        for p, tau in zip(*np.nonzero(np.abs(corr) >= n - 0.5)):
+            i, j = int(ii[lo + p]), int(jj[lo + p])
+            diff = s.phases[j] - np.roll(s.phases[i], -tau)
+            diff -= diff[0]
+            if d is None:  # fold each angle into [-pi, pi)
+                same = np.all(np.abs((diff + math.pi) % TWO_PI - math.pi) <= FLOAT_PHASE_TOL)
+            else:
+                same = not np.any(diff % d)
+            if same:
+                return DistinctReport(distinct=False, witness=(i, j, int(tau)))
     return DistinctReport(distinct=True, witness=None)
 
 

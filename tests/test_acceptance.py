@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from lazforge import (
-    SequenceSet,
     Zone,
     aperiodic_af,
     af_row,
@@ -39,6 +38,8 @@ from lazforge.ambiguity import MAG_TOL_SCALE
 from lazforge.numth import is_prime, smallest_prime_factor
 from lazforge.seqcore import UnimodSequence
 from lazforge.tables import REPORTED_SHOWCASE_FACTORS
+
+from helpers import stack
 
 CONFIGS = [
     (5, 5, "dft"),
@@ -194,7 +195,7 @@ def test_criterion_6_cyclic_distinctness(constructed):
     for (n, k), (f, h, s) in constructed.items():
         assert cyclic_distinct(s).distinct, (n, k)
     base = constructed[(7, 7)][2]
-    corrupted = SequenceSet((base[0], cyclic_shift(base[0], 5), base[2]))
+    corrupted = stack((base[0], cyclic_shift(base[0], 5), base[2]))
     rep = cyclic_distinct(corrupted)
     assert not rep.distinct
     assert rep.witness == (0, 1, 5)

@@ -147,7 +147,7 @@ class TestAfRow:
 
 class TestThetaMax:
     def test_all_ones_singleton(self):
-        s = SequenceSet((UnimodSequence([0] * 5, 1),))
+        s = SequenceSet([[0] * 5], 1)
         rep = theta_max(s, Zone(1, 2), "periodic")
         assert rep.theta_a == pytest.approx(0, abs=1e-12)
         assert rep.theta_c == 0.0

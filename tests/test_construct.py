@@ -31,6 +31,8 @@ from lazforge.cli import main
 from lazforge.hgen import GENERATORS
 from lazforge.seqcore import sequence_set_from_dict, sequence_set_to_dict
 
+from helpers import stack
+
 
 def _passes(kind, n):
     try:
@@ -61,9 +63,7 @@ INTERLEAVED = st.one_of(quadratic_sets(), POWER_SETS)
 
 
 def replace_member(s, i, u):
-    members = list(s)
-    members[i] = u
-    return SequenceSet(tuple(members))
+    return stack(u if k == i else m for k, m in enumerate(s))
 
 
 def move_entry(u, index):
@@ -155,12 +155,13 @@ class TestFactorInterleaved:
     def test_failing_companion_refused(self):
         # the closed form for f = 0 over Legendre shifts of order 5, which fail
         # their constraints: each member is its h row repeated K times
-        s = SequenceSet(tuple(UnimodSequence(np.tile(u.phases, 5), 2) for u in legendre_shifts(5)))
+        h = legendre_shifts(5)
+        s = SequenceSet(np.tile(h.phases, 5), h.denominator)
         with pytest.raises(PreconditionError, match="constraints"):
             factor_interleaved(s)
 
     def test_length_not_a_multiple_of_size_refused(self, set_7_7):
-        s = SequenceSet(tuple(UnimodSequence(u.phases[:-1], u.denominator) for u in set_7_7))
+        s = SequenceSet(set_7_7.phases[:, :-1], set_7_7.denominator)
         with pytest.raises(PreconditionError, match="multiple"):
             factor_interleaved(s)
 

@@ -4,8 +4,10 @@ The digests were computed from the program as it stood before set phases
 moved from per-entry fractions to arrays; every output below must stay
 byte-for-byte the same.  The two `--empirical-budget` digests were added
 later, computed from the program as it stood before `empirical_zone` moved
-from a full delay-Doppler grid to an outward delay scan.  To print the
-digests of the current program:
+from a full delay-Doppler grid to an outward delay scan.  The digest of
+the set that is not cyclically distinct was added later still, computed
+from the program as it stood before a sequence set became one phase
+array.  To print the digests of the current program:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,6 +15,7 @@ digests of the current program:
 import contextlib
 import hashlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -53,15 +56,16 @@ GOLDEN = {
     "verify bjorck_23x529": "5c65851c08f27f6e8d4c3d78861cedf220c943e6b665a4c39ac72627f35966a7",
     "verify legendre_7x49 --empirical-budget 7": "f88caf36b9ff25f1b04ecd1ccd0536c60fb5b6a036ee39b11cee520480896c78",
     "verify bjorck_7x49 --empirical-budget 9": "35665953a6d89233eb9d1f1ffa629a914c196873fd822a28ae6b7a8d442b0b1e",
+    "verify legendre_7x49 member 1 = member 0 shifted by 5": "b3d96b18a6ef3aed0413b1509f7128d8b4fd527baa0ca9fef0389764d8506ca1",
 }
 
 
-def _run(argv) -> str:
+def _run(argv, want: int = 0) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    if code != 0:
-        raise AssertionError(f"lazforge {' '.join(argv)} exited {code}")
+    if code != want:
+        raise AssertionError(f"lazforge {' '.join(argv)} exited {code}, not {want}")
     return out.getvalue()
 
 
@@ -90,6 +94,14 @@ def digests(workdir: Path) -> dict[str, str]:
         argv = ["verify", "--set", str(workdir / f"{name}.json"), "--kind", "both",
                 "--empirical-budget", budget]
         got[f"verify {name} --empirical-budget {budget}"] = _sha(_run(argv).encode())
+    # s_1(t) = s_0(t + 5): not cyclically distinct, so verify exits 1
+    shifted = workdir / "legendre_7x49_shifted.json"
+    d = json.loads(Path(legendre).read_text())
+    d["members"][1] = d["members"][0][5:] + d["members"][0][:5]
+    shifted.write_text(json.dumps(d))
+    argv = ["verify", "--set", str(shifted), "--meta", str(workdir / "legendre_7x49.meta.json"),
+            "--kind", "both"]
+    got["verify legendre_7x49 member 1 = member 0 shifted by 5"] = _sha(_run(argv, 1).encode())
     return got
 
 

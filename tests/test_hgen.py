@@ -21,6 +21,8 @@ from lazforge import (
 )
 from lazforge.hgen import INNER_TOL, MODULATED_MARGIN
 
+from helpers import stack
+
 
 def entries(row):
     """A rational row's entries, each as a reduced Fraction of a turn."""
@@ -43,7 +45,7 @@ def square_sets(draw):
     else:
         angle = st.floats(0, 2 * math.pi, exclude_max=True)
         rows = [UnimodSequence(draw(st.lists(angle, min_size=n, max_size=n))) for _ in range(n)]
-    return SequenceSet(tuple(rows))
+    return stack(rows)
 
 
 class TestDftSubmatrix:
@@ -157,8 +159,7 @@ class TestBjorckShifts:
 
 class TestVerifier:
     def test_duplicate_rows_fail_with_witness(self):
-        row = UnimodSequence(range(4), 4)
-        h = SequenceSet((row, row, row, row))
+        h = SequenceSet(np.tile(np.arange(4), (4, 1)), 4)
         rep = verify_h_constraints(h)
         assert not rep.passed
         assert abs(rep.max_modulated - 4) < 1e-12

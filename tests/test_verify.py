@@ -1,6 +1,15 @@
+import cmath
+import itertools
+import math
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lazforge.verify
 from lazforge import (
     LazParams,
     PreconditionError,
@@ -22,6 +31,9 @@ from lazforge import (
     reproduce_table,
 )
 from lazforge.ambiguity import MAG_TOL_SCALE, _af_blocks
+from lazforge.seqcore import FLOAT_PHASE_TOL
+
+from helpers import stack
 
 
 class TestCertify:
@@ -82,20 +94,69 @@ class TestPredictedParameters:
             assert cert.cyclically_distinct
 
 
+@st.composite
+def shift_sets(draw):
+    """Sets of 1 to 6 members, rational or float, in random order.  Each
+    member is fresh or a copy of an earlier one, cyclically shifted, times a
+    constant or not, and perhaps perturbed at one entry (float perturbations
+    stay well inside or well outside FLOAT_PHASE_TOL).  Members repeat a
+    block of period p, so that several shifts can match."""
+    n = draw(st.integers(1, 12))
+    p = draw(st.sampled_from([p for p in range(1, n + 1) if n % p == 0]))
+    d = draw(st.none() | st.integers(1, 12))
+    entry = st.floats(0, 2 * math.pi, exclude_max=True) if d is None else st.integers(0, d - 1)
+    nudge = st.sampled_from([1e-12, 1e-6, 0.5]) if d is None else st.integers(1, max(1, d - 1))
+    rows = [np.tile(draw(st.lists(entry, min_size=p, max_size=p)), n // p)]
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            rows.append(np.tile(draw(st.lists(entry, min_size=p, max_size=p)), n // p))
+            continue
+        row = np.roll(draw(st.sampled_from(rows)), -draw(st.integers(0, n - 1)))
+        if draw(st.booleans()):
+            row = row + draw(entry)
+        if draw(st.booleans()):
+            row = row.copy()
+            row[draw(st.integers(0, n - 1))] += draw(nudge)
+        rows.append(row)
+    return SequenceSet(np.stack(draw(st.permutations(rows))), d)
+
+
+def brute_force_witness(s):
+    """The first (i, j, tau), i < j, with s_j == c * cyclic_shift(s_i, tau),
+    entry by entry: exact Fractions for a rational set, cmath within
+    FLOAT_PHASE_TOL for a float set."""
+    if s.is_rational:
+        rows = [[Fraction(int(k), s.denominator) for k in row] for row in s.phases]
+
+        def same(a, b):
+            return len({(y - x) % 1 for x, y in zip(a, b)}) == 1
+    else:
+        rows = [[cmath.exp(1j * float(x)) for x in row] for row in s.phases]
+
+        def same(a, b):
+            return all(abs(x * (b[0] / a[0]) - y) <= FLOAT_PHASE_TOL for x, y in zip(a, b))
+
+    for i, j in itertools.combinations(range(s.size), 2):
+        for tau in range(s.length):
+            if same(rows[i][tau:] + rows[i][:tau], rows[j]):
+                return i, j, tau
+    return None
+
+
 class TestCyclicDistinct:
     def test_constructed_set_distinct_both_modes(self, set_7_7):
         # distinct up to a unit constant; a direct search over every pair and
         # shift confirms the exact (c = 1) case
         assert cyclic_distinct(set_7_7).distinct
-        n = set_7_7.length
+        n, members = set_7_7.length, list(set_7_7)
         assert all(
             cyclic_shift(a, tau) != b
-            for i, a in enumerate(set_7_7) for b in set_7_7[i + 1:] for tau in range(n)
+            for i, a in enumerate(members) for b in members[i + 1:] for tau in range(n)
         )
 
     def test_corrupted_set_fails_with_witness(self, set_7_7):
         s0 = set_7_7[0]
-        bad = SequenceSet((s0, cyclic_shift(s0, 5)))
+        bad = stack((s0, cyclic_shift(s0, 5)))
         rep = cyclic_distinct(bad)
         assert not rep.distinct
         assert rep.witness == (0, 1, 5)
@@ -105,14 +166,14 @@ class TestCyclicDistinct:
         d = s0.denominator
         scaled = UnimodSequence(7 * cyclic_shift(s0, 3).phases + 2 * d, 7 * d)  # w_7^2 times
         assert all(cyclic_shift(s0, tau) != scaled for tau in range(s0.length))
-        bad = SequenceSet((s0, scaled))
+        bad = stack((s0, scaled))
         rep = cyclic_distinct(bad)
         assert not rep.distinct and rep.witness == (0, 1, 3)
         c = bad[1].values[0] / bad[0].values[3]  # the constant, from the witness
         assert np.allclose(bad[1].values, c * cyclic_shift(bad[0], 3).values, rtol=0, atol=1e-12)
 
     def test_singleton_vacuously_distinct(self):
-        s = SequenceSet((UnimodSequence([0, 0], 1),))
+        s = SequenceSet([[0, 0]], 1)
         assert cyclic_distinct(s).distinct
 
     def test_agrees_with_full_af_scan(self, set_7_7):
@@ -127,6 +188,14 @@ class TestCyclicDistinct:
             )
             assert peak < n - 1e-6
         assert cyclic_distinct(set_7_7).distinct
+
+    @given(shift_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, s):
+        want = brute_force_witness(s)
+        assert cyclic_distinct(s).witness == want
+        with mock.patch.object(lazforge.verify, "SCAN_BLOCK_ENTRIES", 2 * s.length):  # 2 pairs a block
+            assert cyclic_distinct(s).witness == want
 
 
 def direct_rectangles(s, budgets, kind):
@@ -172,7 +241,7 @@ class TestEmpiricalZone:
         else:  # no zone structure, so the fronts have many corners
             m, n = map(int, shape.split()[1].split("x"))
             rng = np.random.default_rng(5)
-            s, k = SequenceSet(tuple(UnimodSequence(2 * np.pi * rng.random(n)) for _ in range(m))), 10
+            s, k = SequenceSet(2 * np.pi * rng.random((m, n))), 10
         # budget L never stops early; the even length 24 has tau = L/2 = -L/2
         budgets = [0.0, k / 2, k, k + 1, k + 2, k + 3, 2 * k, float(s.length)]
         want = direct_rectangles(s, budgets, kind)
@@ -183,7 +252,7 @@ class TestEmpiricalZone:
         assert any(zx >= 7 and zy >= 7 for zx, zy in rects)
 
     def test_all_ones_budget_zero(self):
-        ones = SequenceSet((UnimodSequence([0] * 6, 1),))
+        ones = SequenceSet([[0] * 6], 1)
         # every tau != 0 row carries the full sum at v = 0, so only the
         # delay-1 column survives
         assert empirical_zone(ones, 0.0, "periodic") == [(1, 6)]

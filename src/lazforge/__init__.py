@@ -50,9 +50,7 @@ from .lpnf import (
 )
 from .seqcore import (
     SequenceSet,
-    UnimodSequence,
     Zone,
-    cyclic_shift,
     load_sequence_set,
     save_sequence_set,
 )

@@ -1,7 +1,8 @@
 """Periodic and aperiodic ambiguity functions, zone maxima, and the
 structural closed form for interleaved sets.
 
-Conventions: for length-L sequences a, b and integers tau, v,
+Conventions: for length-L sequences a, b (complex rows, such as the rows of
+a set's `matrix`) and integers tau, v,
 
     periodic   AF(tau, v) = sum_{t=0}^{L-1}       a(t) b*(<t+tau>_L) w_L^{vt}
     aperiodic  AF(tau, v) = sum_{t=0}^{L-1-tau}   a(t) b*(t+tau)     w_L^{vt}   (0 <= tau < L)
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .lpnf import ZFunc
-from .seqcore import SCAN_BLOCK_ENTRIES, SequenceSet, UnimodSequence, Zone, check_kind
+from .seqcore import SCAN_BLOCK_ENTRIES, SequenceSet, Zone, check_kind
 
 # |AF| comparisons against integer thresholds, scaled by the sequence length
 MAG_TOL_SCALE = 1e-6
@@ -33,28 +34,25 @@ def _doppler_vector(length: int, v: int) -> np.ndarray:
     return np.exp(2j * np.pi * v * np.arange(length) / length)
 
 
-def periodic_af(a: UnimodSequence, b: UnimodSequence, tau: int, v: int) -> complex:
-    if a.length != b.length:
+def _check_pair(a: np.ndarray, b: np.ndarray) -> int:
+    if len(a) != len(b):
         raise PreconditionError("sequences must have equal length")
-    n = a.length
-    prod = a.values * np.conj(np.roll(b.values, -tau))
+    return len(a)
+
+
+def periodic_af(a: np.ndarray, b: np.ndarray, tau: int, v: int) -> complex:
+    n = _check_pair(a, b)
+    prod = a * np.conj(np.roll(b, -tau))
     return complex(np.sum(prod * _doppler_vector(n, v)))
 
 
-def aperiodic_af(a: UnimodSequence, b: UnimodSequence, tau: int, v: int) -> complex:
-    if a.length != b.length:
-        raise PreconditionError("sequences must have equal length")
-    n = a.length
+def aperiodic_af(a: np.ndarray, b: np.ndarray, tau: int, v: int) -> complex:
+    n = _check_pair(a, b)
     if abs(tau) >= n:
         return 0j
-    w = _doppler_vector(n, v)
-    if tau >= 0:
-        ts = np.arange(0, n - tau)
-        prod = a.values[ts] * np.conj(b.values[ts + tau])
-    else:
-        ts = np.arange(-tau, n)
-        prod = a.values[ts] * np.conj(b.values[ts + tau])
-    return complex(np.sum(prod * w[ts]))
+    ts = np.arange(0, n - tau) if tau >= 0 else np.arange(-tau, n)
+    prod = a[ts] * np.conj(b[ts + tau])
+    return complex(np.sum(prod * _doppler_vector(n, v)[ts]))
 
 
 def _af_blocks(
@@ -98,31 +96,30 @@ def _af_blocks(
 
 
 def _pair_rows(
-    a: UnimodSequence,
-    b: UnimodSequence,
+    a: np.ndarray,
+    b: np.ndarray,
     taus: Sequence[int],
     kind: str,
     vidx: np.ndarray | slice = slice(None),
 ) -> np.ndarray:
     """AF_ab(taus[r], vidx[c]) as a (len(taus), len(vidx)) array."""
     check_kind(kind)
-    if a.length != b.length:
-        raise PreconditionError("sequences must have equal length")
-    mat = np.vstack((a.values, b.values))
+    _check_pair(a, b)
+    mat = np.vstack((a, b))
     blocks = _af_blocks(mat, np.array([0]), np.array([1]), taus, kind, vidx)
     return np.vstack([block for _, _, block in blocks])
 
 
-def af_row(a: UnimodSequence, b: UnimodSequence, tau: int, kind: str) -> np.ndarray:
+def af_row(a: np.ndarray, b: np.ndarray, tau: int, kind: str) -> np.ndarray:
     """AF(tau, v) for all v in [0, L) by a single length-L transform."""
     return _pair_rows(a, b, [tau], kind)[0]
 
 
-def af_grid(a: UnimodSequence, b: UnimodSequence, zone: Zone, kind: str) -> np.ndarray:
+def af_grid(a: np.ndarray, b: np.ndarray, zone: Zone, kind: str) -> np.ndarray:
     """AF_ab over the open zone as a (len(zone.delays()), len(zone.dopplers()))
     array, rows in delay order and columns in Doppler order."""
-    zone.check_fits(a.length)
-    return _pair_rows(a, b, zone.delays(), kind, np.asarray(zone.dopplers()) % a.length)
+    zone.check_fits(len(a))
+    return _pair_rows(a, b, zone.delays(), kind, np.asarray(zone.dopplers()) % len(a))
 
 
 @dataclass(frozen=True)

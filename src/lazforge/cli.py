@@ -141,7 +141,7 @@ def _cmd_af(args) -> int:
     if not (0 <= i < s.size and 0 <= j < s.size):
         raise PreconditionError(f"pair indices out of range for set of size {s.size}")
     zone = Zone(args.zx, args.zy)
-    grid = af_grid(s[i], s[j], zone, args.kind)
+    grid = af_grid(s.matrix[i], s.matrix[j], zone, args.kind)
     lines = ["tau,v,re,im,mag"]
     for r, tau in enumerate(zone.delays()):
         for c, v in enumerate(zone.dopplers()):

@@ -1,7 +1,7 @@
-"""Core types: unimodular sequences, sequence sets, and delay-Doppler zones.
+"""Core types: sequence sets and delay-Doppler zones.
 
-A sequence holds its phases in one array, and a set holds all of its
-members' phases in one 2-D array; there is no per-entry phase type.
+A set holds all of its members' phases in one 2-D array, a sequence is a
+row of that array, and there is no per-entry phase type.
 Root-of-unity entries are kept as integer numerators over one shared
 denominator, so that magnitude comparisons downstream are bit-stable.  Float
 angles exist only for families whose phases are not roots of unity (Björck
@@ -41,102 +41,49 @@ def check_kind(kind: str) -> None:
         raise PreconditionError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def _canonical(phases, d: int | None) -> tuple[np.ndarray, int | None]:
-    """A read-only phase array of any shape, with its denominator, in the form
-    both phase types keep: numerators mod D over the smallest D that fits
-    every entry, or finite angles folded into [0, 2*pi) when D is None."""
-    try:
-        phases = np.asarray(phases, dtype=np.float64 if d is None else np.int64)
-    except (ValueError, TypeError, OverflowError):  # ragged or not numbers
-        raise PreconditionError("phases must form an array of numbers") from None
-    if d is None:
-        if not np.all(np.isfinite(phases)):
-            raise PreconditionError("angles must be finite")
-        # the outer mod folds an inner result that rounded up to 2*pi
-        phases = np.mod(np.mod(phases, TWO_PI), TWO_PI)
-    elif d <= 0:
-        raise PreconditionError("denominator must be positive")
-    else:
-        phases = phases % d
-        g = np.gcd.reduce(phases, axis=None, initial=d)
-        phases, d = phases // g, int(d // g)
-    phases.flags.writeable = False
-    return phases, d
-
-
 @dataclass(frozen=True, eq=False)
-class UnimodSequence:
-    """A finite sequence of unit-modulus entries, held as one read-only array.
+class SequenceSet:
+    """Sequences of one length as one read-only (size, length) phase array;
+    row i is member i, and `matrix[i]` its complex entries.
 
     Rational (`denominator` D set): int64 numerators k in [0, D), entry
-    exp(2*pi*i*k/D), with D the smallest denominator that fits every entry.
-    Float (`denominator` None): radian angles in [0, 2*pi).
+    exp(2*pi*i*k/D), with D the smallest denominator that fits every entry
+    of the set and at most MAX_DENOMINATOR.  Float (`denominator` None):
+    finite radian angles folded into [0, 2*pi).
     """
 
     phases: np.ndarray
     denominator: int | None = None
 
     def __post_init__(self):
-        phases, d = _canonical(self.phases, self.denominator)
-        if phases.ndim != 1 or phases.size < 1:
-            raise PreconditionError("sequence must be a nonempty 1-D array")
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "denominator", d)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UnimodSequence):
-            return NotImplemented
-        # denominators are canonical, so equal rational sequences share one
-        same_kind = self.denominator == other.denominator
-        return same_kind and np.array_equal(self.phases, other.phases)
-
-    @property
-    def length(self) -> int:
-        return self.phases.size
-
-    @property
-    def is_rational(self) -> bool:
-        return self.denominator is not None
-
-    @property
-    def angles(self) -> np.ndarray:
-        """Entries as radian angles in [0, 2*pi)."""
-        if self.denominator is None:
-            return self.phases
-        return TWO_PI * (self.phases / self.denominator)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """Entries as a complex128 vector (cached; the dataclass is frozen)."""
-        return np.exp(1j * self.angles)
-
-
-def cyclic_shift(s: UnimodSequence, tau: int) -> UnimodSequence:
-    """result(t) = s(t + tau mod N); positive tau shifts left."""
-    return UnimodSequence(np.roll(s.phases, -tau), s.denominator)
-
-
-@dataclass(frozen=True, eq=False)
-class SequenceSet:
-    """Sequences of one length as one read-only (size, length) phase array,
-    row i being member i, kept as UnimodSequence keeps one row: a set is
-    rational, over one denominator of at most MAX_DENOMINATOR, or float."""
-
-    phases: np.ndarray
-    denominator: int | None = None
-
-    def __post_init__(self):
-        phases, d = _canonical(self.phases, self.denominator)
+        d = self.denominator
+        try:
+            phases = np.asarray(self.phases, dtype=np.float64 if d is None else np.int64)
+        except (ValueError, TypeError, OverflowError):  # ragged or not numbers
+            raise PreconditionError("phases must form an array of numbers") from None
+        if d is None:
+            if not np.all(np.isfinite(phases)):
+                raise PreconditionError("angles must be finite")
+            # the outer mod folds an inner result that rounded up to 2*pi
+            phases = np.mod(np.mod(phases, TWO_PI), TWO_PI)
+        elif d <= 0:
+            raise PreconditionError("denominator must be positive")
+        else:
+            phases = phases % d
+            g = np.gcd.reduce(phases, axis=None, initial=d)
+            phases, d = phases // g, int(d // g)
         if phases.ndim != 2 or phases.size < 1:
             raise PreconditionError("sequence set must be a nonempty 2-D array")
         if d is not None and d > MAX_DENOMINATOR:
             raise PreconditionError(f"common denominator exceeds {MAX_DENOMINATOR}")
+        phases.flags.writeable = False
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "denominator", d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SequenceSet):
             return NotImplemented
+        # denominators are canonical, so equal rational sets share one
         return self.denominator == other.denominator and np.array_equal(self.phases, other.phases)
 
     @property
@@ -152,21 +99,11 @@ class SequenceSet:
         """The size: a companion matrix's order, read by perfbench's counters."""
         return self.size
 
-    @property
-    def is_rational(self) -> bool:
-        return self.denominator is not None
-
     @cached_property
     def matrix(self) -> np.ndarray:
         """The set as a (size, length) complex matrix (cached)."""
         d = self.denominator
         return np.exp(1j * (self.phases if d is None else TWO_PI * (self.phases / d)))
-
-    def __iter__(self):
-        return (self[i] for i in range(self.size))
-
-    def __getitem__(self, i: int) -> UnimodSequence:
-        return UnimodSequence(self.phases[i], self.denominator)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,8 @@ class DistinctReport:
 def cyclic_distinct(s: SequenceSet) -> DistinctReport:
     """No member is a cyclic shift of another times a unit-modulus constant
     (1 included).  Otherwise the witness is the first (i, j, tau), i < j, with
-    s_j == c * cyclic_shift(s_i, tau); the constant is c = s_j(0) / s_i(tau).
+    s_j == c * (s_i shifted left by tau), that is s_j(x) == c * s_i(x + tau)
+    for every x mod L; the constant is c = s_j(0) / s_i(tau).
 
     corr_ij[tau] = sum_x s_i(x + tau) s_j*(x) has magnitude L for such a
     tau.  It comes from the members' spectra, one inverse FFT per block of

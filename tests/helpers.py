@@ -1,17 +1,13 @@
 """Helpers shared by the test modules."""
 
-import math
+from fractions import Fraction
 
-import numpy as np
+from lazforge import aperiodic_af, periodic_af
 
-from lazforge import SequenceSet
+# the direct-sum AF of each kind, the oracle for the batched kernel
+DIRECT = {"periodic": periodic_af, "aperiodic": aperiodic_af}
 
 
-def stack(members) -> SequenceSet:
-    """The set whose rows are the given sequences: numerators over their least
-    common denominator when every member is rational, else angles."""
-    members = list(members)
-    if all(m.is_rational for m in members):
-        d = math.lcm(*(m.denominator for m in members))
-        return SequenceSet(np.stack([m.phases * (d // m.denominator) for m in members]), d)
-    return SequenceSet(np.stack([m.angles for m in members]))
+def entries(s, i):
+    """Row i of a rational set, each entry as a reduced Fraction of a turn."""
+    return tuple(Fraction(int(k), s.denominator) for k in s.phases[i])

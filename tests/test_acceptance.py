@@ -11,21 +11,19 @@ import numpy as np
 import pytest
 
 from lazforge import (
+    SequenceSet,
     Zone,
-    aperiodic_af,
     af_row,
     asymptotic_rho,
     build_laz_set,
     certify_laz,
     cyclic_distinct,
-    cyclic_shift,
     diff_table,
     lpnf_zone_for,
     make_hmatrix,
     msequence_shifts,
     nonlinearity_measure,
     optimality_factor,
-    periodic_af,
     power_lpnf,
     predicted_params,
     quad_lpnf,
@@ -36,10 +34,9 @@ from lazforge import (
 )
 from lazforge.ambiguity import MAG_TOL_SCALE
 from lazforge.numth import is_prime, smallest_prime_factor
-from lazforge.seqcore import UnimodSequence
 from lazforge.tables import REPORTED_SHOWCASE_FACTORS
 
-from helpers import stack
+from helpers import DIRECT
 
 CONFIGS = [
     (5, 5, "dft"),
@@ -158,15 +155,13 @@ def test_criterion_5_oracle_equivalence(constructed):
     for n, k in ((7, 7), (7, 11)):
         f, h, s = constructed[(n, k)]
         zone = predicted_params(n, k, "periodic").zone
+        mat = s.matrix
         for i in range(s.size):
             for j in range(s.size):
                 for tau in zone.delays():
                     for v in zone.dopplers():
-                        for kind, direct in (
-                            ("periodic", periodic_af),
-                            ("aperiodic", aperiodic_af),
-                        ):
-                            want = direct(s[i], s[j], tau, v)
+                        for kind, direct in DIRECT.items():
+                            want = direct(mat[i], mat[j], tau, v)
                             got = structural_af(f, h, i, j, tau, v, kind)
                             err = abs(want - got) / s.length
                             worst = max(worst, err)
@@ -174,9 +169,8 @@ def test_criterion_5_oracle_equivalence(constructed):
     rng = np.random.default_rng(2024)
     worst_fft = 0.0
     for length in (7, 21, 49, 77):
-        a = UnimodSequence(2 * np.pi * rng.random(length))
-        b = UnimodSequence(2 * np.pi * rng.random(length))
-        for kind, direct in (("periodic", periodic_af), ("aperiodic", aperiodic_af)):
+        a, b = np.exp(2j * np.pi * rng.random((2, length)))
+        for kind, direct in DIRECT.items():
             for tau in (-2, 0, 1, length // 2):
                 row = af_row(a, b, tau, kind)
                 for v in range(length):
@@ -195,7 +189,8 @@ def test_criterion_6_cyclic_distinctness(constructed):
     for (n, k), (f, h, s) in constructed.items():
         assert cyclic_distinct(s).distinct, (n, k)
     base = constructed[(7, 7)][2]
-    corrupted = stack((base[0], cyclic_shift(base[0], 5), base[2]))
+    rows = base.phases
+    corrupted = SequenceSet([rows[0], np.roll(rows[0], -5), rows[2]], base.denominator)
     rep = cyclic_distinct(corrupted)
     assert not rep.distinct
     assert rep.witness == (0, 1, 5)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lazforge import (
     PreconditionError,
     SequenceSet,
-    UnimodSequence,
     Zone,
     af_grid,
     af_row,
@@ -24,29 +23,29 @@ from lazforge import (
     theta_max,
 )
 
+from helpers import DIRECT
+
 
 def random_unimodular(length, seed):
     rng = np.random.default_rng(seed)
-    return UnimodSequence(2 * np.pi * rng.random(length))
+    return np.exp(2j * np.pi * rng.random(length))
 
 
 def naive_periodic(a, b, tau, v):
-    n = a.length
-    av, bv = a.values, b.values
+    n = len(a)
     return sum(
-        av[t] * np.conj(bv[(t + tau) % n]) * cmath.exp(2j * cmath.pi * v * t / n)
+        a[t] * np.conj(b[(t + tau) % n]) * cmath.exp(2j * cmath.pi * v * t / n)
         for t in range(n)
     )
 
 
 def naive_aperiodic(a, b, tau, v):
-    n = a.length
+    n = len(a)
     if abs(tau) >= n:
         return 0j
-    av, bv = a.values, b.values
     ts = range(0, n - tau) if tau >= 0 else range(-tau, n)
     return sum(
-        av[t] * np.conj(bv[t + tau]) * cmath.exp(2j * cmath.pi * v * t / n)
+        a[t] * np.conj(b[t + tau]) * cmath.exp(2j * cmath.pi * v * t / n)
         for t in ts
     )
 
@@ -58,14 +57,14 @@ class TestPointEvaluation:
         assert aperiodic_af(a, a, 0, 0) == pytest.approx(13)
 
     def test_all_ones_geometric_sum(self):
-        a = UnimodSequence([0] * 8, 1)
+        a = np.ones(8, complex)
         for v in range(1, 8):
             assert abs(periodic_af(a, a, 3, v)) == pytest.approx(0, abs=1e-12)
         assert periodic_af(a, a, 3, 8) == pytest.approx(8)
 
     def test_aperiodic_boundary_single_term(self):
         a, b = random_unimodular(9, 1), random_unimodular(9, 2)
-        want = a.values[0] * np.conj(b.values[8])
+        want = a[0] * np.conj(b[8])
         assert aperiodic_af(a, b, 8, 0) == pytest.approx(want)
 
     def test_aperiodic_zero_outside_support(self):
@@ -92,8 +91,7 @@ class TestPointEvaluation:
     @settings(max_examples=25)
     def test_magnitude_bounded_by_length(self, n, seed):
         rng = np.random.default_rng(seed)
-        a = UnimodSequence(2 * np.pi * rng.random(n))
-        b = UnimodSequence(2 * np.pi * rng.random(n))
+        a, b = np.exp(2j * np.pi * rng.random((2, n)))
         tau = int(rng.integers(-n, n + 1))
         v = int(rng.integers(-2 * n, 2 * n + 1))
         assert abs(periodic_af(a, b, tau, v)) <= n + 1e-9
@@ -103,8 +101,7 @@ class TestPointEvaluation:
     @settings(max_examples=25)
     def test_conjugate_symmetry(self, n, seed):
         rng = np.random.default_rng(seed)
-        a = UnimodSequence(2 * np.pi * rng.random(n))
-        b = UnimodSequence(2 * np.pi * rng.random(n))
+        a, b = np.exp(2j * np.pi * rng.random((2, n)))
         tau = int(rng.integers(-n + 1, n))
         v = int(rng.integers(-n, n))
         lhs = abs(periodic_af(a, b, tau, v))
@@ -118,7 +115,7 @@ class TestAfRow:
     def test_matches_pointwise(self, length, kind):
         a = random_unimodular(length, length)
         b = random_unimodular(length, length + 1)
-        direct = periodic_af if kind == "periodic" else aperiodic_af
+        direct = DIRECT[kind]
         for tau in (0, 1, length // 2, -1):
             row = af_row(a, b, tau, kind)
             for v in (0, 1, length - 1, length // 3):
@@ -127,21 +124,22 @@ class TestAfRow:
     def test_tau0_periodic_row_is_transform_of_product(self):
         a, b = random_unimodular(12, 7), random_unimodular(12, 8)
         row = af_row(a, b, 0, "periodic")
-        want = 12 * np.fft.ifft(a.values * np.conj(b.values))
+        want = 12 * np.fft.ifft(a * np.conj(b))
         assert np.allclose(row, want, atol=1e-12)
 
     def test_all_ones_row(self):
-        a = UnimodSequence([0] * 6, 1)
+        a = np.ones(6, complex)
         row = af_row(a, a, 0, "periodic")
         assert np.allclose(row, [6, 0, 0, 0, 0, 0], atol=1e-12)
 
     def test_grid_matches_definition(self, set_7_7):
         zone = Zone(3, 4)
-        g = af_grid(set_7_7[0], set_7_7[2], zone, "aperiodic")
+        a, b = set_7_7.matrix[0], set_7_7.matrix[2]
+        g = af_grid(a, b, zone, "aperiodic")
         assert g.shape == (len(zone.delays()), len(zone.dopplers()))
         for r, tau in enumerate(zone.delays()):
             for c, v in enumerate(zone.dopplers()):
-                want = aperiodic_af(set_7_7[0], set_7_7[2], tau, v)
+                want = aperiodic_af(a, b, tau, v)
                 assert g[r, c] == pytest.approx(want, abs=1e-9 * 49)
 
 
@@ -156,16 +154,16 @@ class TestThetaMax:
     def test_auto_doppler_cut_is_flat_zero(self, set_7_7):
         # on the tau = 0 cut every nonzero Doppler vanishes when 7 does not
         # divide v
-        for i in range(7):
+        for a in set_7_7.matrix:
             for v in range(-48, 49):
                 if v % 7:
-                    assert abs(periodic_af(set_7_7[i], set_7_7[i], 0, v)) < 1e-9
+                    assert abs(periodic_af(a, a, 0, v)) < 1e-9
 
     def test_zone_max_is_k(self, set_7_7):
         rep = theta_max(s=set_7_7, zone=Zone(7, 7), kind="periodic")
         assert rep.theta_max == pytest.approx(7, abs=1e-6)
         w = rep.witness
-        got = periodic_af(set_7_7[w.i], set_7_7[w.j], w.tau, w.v)
+        got = periodic_af(set_7_7.matrix[w.i], set_7_7.matrix[w.j], w.tau, w.v)
         assert abs(got) == pytest.approx(w.magnitude, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
@@ -195,7 +193,7 @@ class TestThetaMax:
         s = build_laz_set(quad_lpnf(n, a2, a1, n + k_extra), make_hmatrix(h, n))
         zone = Zone(z_x, z_y)
         rep = theta_max(s, zone, kind)
-        direct = periodic_af if kind == "periodic" else aperiodic_af
+        direct, mat = DIRECT[kind], s.matrix
         theta = {True: 0.0, False: 0.0}  # auto, cross
         for i in range(n):
             for j in range(n):
@@ -203,7 +201,7 @@ class TestThetaMax:
                     for v in zone.dopplers():
                         if i == j and tau == 0 and v == 0:
                             continue
-                        mag = abs(direct(s[i], s[j], tau, v))
+                        mag = abs(direct(mat[i], mat[j], tau, v))
                         theta[i == j] = max(theta[i == j], mag)
         assert rep.theta_a == pytest.approx(theta[True], abs=1e-9)
         assert rep.theta_c == pytest.approx(theta[False], abs=1e-9)
@@ -211,7 +209,7 @@ class TestThetaMax:
         assert (w.i == w.j, w.tau, w.v) != (True, 0, 0)
         assert abs(w.tau) < z_x and abs(w.v) < z_y
         assert w.magnitude == rep.theta_max
-        assert abs(direct(s[w.i], s[w.j], w.tau, w.v)) == pytest.approx(w.magnitude, abs=1e-9)
+        assert abs(direct(mat[w.i], mat[w.j], w.tau, w.v)) == pytest.approx(w.magnitude, abs=1e-9)
 
     def test_zone_must_fit(self, set_7_7):
         with pytest.raises(PreconditionError):
@@ -222,14 +220,12 @@ class TestStructuralOracle:
     def test_matches_direct_on_7_7_zone(self, set_7_7):
         f = quad_lpnf(7, 1, 0, 7)
         h = legendre_shifts(7)
+        mat = set_7_7.matrix
         for i, j in ((0, 0), (0, 1), (3, 5)):
             for tau in range(-6, 7):
                 for v in range(-6, 7):
-                    for kind, direct in (
-                        ("periodic", periodic_af),
-                        ("aperiodic", aperiodic_af),
-                    ):
-                        want = direct(set_7_7[i], set_7_7[j], tau, v)
+                    for kind, direct in DIRECT.items():
+                        want = direct(mat[i], mat[j], tau, v)
                         got = structural_af(f, h, i, j, tau, v, kind)
                         assert got == pytest.approx(want, abs=1e-9 * 49), (
                             i, j, tau, v, kind,
@@ -244,8 +240,7 @@ class TestStructuralOracle:
             tau = int(rng.integers(-76, 77))
             v = int(rng.integers(-80, 81))
             kind = "periodic" if rng.random() < 0.5 else "aperiodic"
-            direct = periodic_af if kind == "periodic" else aperiodic_af
-            want = direct(set_7_11[i], set_7_11[j], tau, v)
+            want = DIRECT[kind](set_7_11.matrix[i], set_7_11.matrix[j], tau, v)
             got = structural_af(f, h, i, j, tau, v, kind)
             assert got == pytest.approx(want, abs=1e-9 * 77), (i, j, tau, v, kind)
 
@@ -268,9 +263,10 @@ class TestStructuralOracle:
             assert got == pytest.approx(want, abs=1e-9 * 49)
 
     def test_aperiodic_triangle_bound(self, set_7_7):
+        mat = set_7_7.matrix
         for i, j in ((0, 0), (2, 6)):
             for tau in range(-6, 7):
                 for v in range(-6, 7):
-                    ap = abs(aperiodic_af(set_7_7[i], set_7_7[j], tau, v))
-                    per = abs(periodic_af(set_7_7[i], set_7_7[j], tau, v))
+                    ap = abs(aperiodic_af(mat[i], mat[j], tau, v))
+                    per = abs(periodic_af(mat[i], mat[j], tau, v))
                     assert ap <= per + abs(tau) + 1e-9

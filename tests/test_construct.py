@@ -11,7 +11,6 @@ from lazforge import (
     LazParams,
     PreconditionError,
     SequenceSet,
-    UnimodSequence,
     ZFunc,
     Zone,
     bjorck_shifts,
@@ -31,7 +30,7 @@ from lazforge.cli import main
 from lazforge.hgen import GENERATORS
 from lazforge.seqcore import sequence_set_from_dict, sequence_set_to_dict
 
-from helpers import stack
+from helpers import entries
 
 
 def _passes(kind, n):
@@ -62,25 +61,34 @@ POWER_SETS = st.sampled_from([(3, 2), (5, 2), (7, 3), (11, 2), (13, 2)]).map(
 INTERLEAVED = st.one_of(quadratic_sets(), POWER_SETS)
 
 
-def replace_member(s, i, u):
-    return stack(u if k == i else m for k, m in enumerate(s))
+def swap_rows(s, i, j):
+    rows = np.arange(s.size)
+    rows[[i, j]] = j, i
+    return SequenceSet(s.phases[rows], s.denominator)
 
 
-def move_entry(u, index):
-    """u with one entry rotated: by half a step of its phase grid if rational,
-    by 0.5 rad if float."""
-    if not u.is_rational:
-        phases = u.phases.copy()
-        phases[index] += 0.5
-        return UnimodSequence(phases)
-    phases = 2 * u.phases
-    phases[index] += 1
-    return UnimodSequence(phases, 2 * u.denominator)
+def replace_row(s, i, t):
+    """s with row i taken from the set t of the same kind."""
+    if s.denominator is None:
+        phases = s.phases.copy()
+        phases[i] = t.phases[i]
+        return SequenceSet(phases)
+    d = math.lcm(s.denominator, t.denominator)
+    phases = s.phases * (d // s.denominator)
+    phases[i] = t.phases[i] * (d // t.denominator)
+    return SequenceSet(phases, d)
 
 
-def entries(s):
-    """A rational sequence's entries, each as a reduced Fraction of a turn."""
-    return tuple(Fraction(int(k), s.denominator) for k in s.phases)
+def move_entry(s, i, index):
+    """s with entry index of row i rotated: by half a step of its phase grid
+    if rational, by 0.5 rad if float."""
+    if s.denominator is None:
+        phases = s.phases.copy()
+        phases[i, index] += 0.5
+        return SequenceSet(phases)
+    phases = 2 * s.phases
+    phases[i, index] += 1
+    return SequenceSet(phases, 2 * s.denominator)
 
 
 class TestBuildLazSet:
@@ -88,13 +96,14 @@ class TestBuildLazSet:
         f = quad_lpnf(7, 1, 0, 7)
         h = legendre_shifts(7)
         for n, t, m in ((2, 3, 4), (5, 6, 0), (1, 0, 6)):
-            want = (entries(h[n])[m] + Fraction(t * f.table[m], 7)) % 1
-            assert entries(set_7_7[n])[t * 7 + m] == want
+            want = (entries(h, n)[m] + Fraction(t * f.table[m], 7)) % 1
+            assert entries(set_7_7, n)[t * 7 + m] == want
 
     def test_denominators_divide_lcm(self, set_7_7):
         # legendre entries have denominator 1 or 2; base phases denominator 7
         target = math.lcm(7, 2)
-        assert all(target % x.denominator == 0 for mem in set_7_7 for x in entries(mem))
+        rows = range(set_7_7.size)
+        assert all(target % x.denominator == 0 for i in rows for x in entries(set_7_7, i))
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(PreconditionError, match="order"):
@@ -126,9 +135,9 @@ class TestFactorInterleaved:
         f, h = fh
         i, j = data.draw(st.lists(st.integers(0, h.size - 1), min_size=2, max_size=2, unique=True))
         s = build_laz_set(f, h)
-        swapped = replace_member(replace_member(s, i, s[j]), j, s[i])
+        swapped = swap_rows(s, i, j)
         g, h2 = factor_interleaved(swapped)
-        assert (g, h2) == (f, replace_member(replace_member(h, i, h[j]), j, h[i]))
+        assert (g, h2) == (f, swap_rows(h, i, j))
         assert build_laz_set(g, h2) == swapped
 
     @given(INTERLEAVED, st.data())
@@ -140,7 +149,7 @@ class TestFactorInterleaved:
         i = data.draw(st.integers(0, n - 1))
         index = data.draw(st.integers(n, n * k - 1))  # t >= 1
         with pytest.raises(PreconditionError, match="not an interleaved set"):
-            factor_interleaved(replace_member(s, i, move_entry(s[i], index)))
+            factor_interleaved(move_entry(s, i, index))
 
     @given(INTERLEAVED, st.data())
     @settings(max_examples=30, deadline=None)
@@ -148,7 +157,7 @@ class TestFactorInterleaved:
         f, h = fh
         g = ZFunc(f.domain_size, f.codomain_size, [(v + 1) % f.codomain_size for v in f.table])
         i = data.draw(st.integers(0, f.domain_size - 1))
-        s = replace_member(build_laz_set(f, h), i, build_laz_set(g, h)[i])
+        s = replace_row(build_laz_set(f, h), i, build_laz_set(g, h))
         with pytest.raises(PreconditionError, match="not an interleaved set"):
             factor_interleaved(s)
 

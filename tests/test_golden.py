@@ -7,7 +7,12 @@ later, computed from the program as it stood before `empirical_zone` moved
 from a full delay-Doppler grid to an outward delay scan.  The digest of
 the set that is not cyclically distinct was added later still, computed
 from the program as it stood before a sequence set became one phase
-array.  To print the digests of the current program:
+array.  The `af` digests of the DFT and Björck sets were added last,
+computed from the program as it stood before a sequence became a row of
+its set.  Row 0 of the DFT set reduces to a smaller denominator than the
+set's, so that case checks that the output does not depend on whether a
+row is reduced on its own; the Björck case checks the float path.
+To print the digests of the current program:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -51,6 +56,10 @@ GOLDEN = {
     "hgen bjorck 7": "88bb703fbd0e48183cf3802743dad633587a088f5b55756651b72501c50ec417",
     "af legendre_7x49 0 1 periodic": "e33a0a37bbc625801f7792e02fbbe541ad804777686be536d31b80f379db543f",
     "af legendre_7x49 0 1 aperiodic": "6d26fe41a6e63f35abdf09b8407c57185347ac6dca3a1d7fc8033e5d3f252623",
+    "af dft_9x81 0 1 periodic": "8cd2690e0922e3dab270654df86c37412b3e3fc2f8a81995b5ee76b4b7b085b7",
+    "af dft_9x81 0 1 aperiodic": "2c2ba6e7ff5f7ec3857f1a299a8d3fc170d11b7cfbf7f0af845cea5fe40895e4",
+    "af bjorck_7x49 0 1 periodic": "decde0b3295c7490c2cad09dea0fb9b996ad1cc0122fbf87df8d8f3e0936d350",
+    "af bjorck_7x49 0 1 aperiodic": "8a379e42e1f1d4328354cbc25b867f02bcca861e4867ad41fc1acc17b11354f1",
     "verify legendre_7x49": "6293c05bd325385125e1babfb631d43fe57120e5cebc89f63bbc9a92f014d5a1",
     "verify bjorck_7x49": "7d87bebab7ced16f8bf7cc79fa3ac3927eab9d9d8a408705b9a2a68a244ac68d",
     "verify bjorck_23x529": "5c65851c08f27f6e8d4c3d78861cedf220c943e6b665a4c39ac72627f35966a7",
@@ -83,10 +92,11 @@ def digests(workdir: Path) -> dict[str, str]:
     for kind, n in (("dft", "35"), ("bjorck", "7")):
         got[f"hgen {kind} {n}"] = _sha(_run(["hgen", "--kind", kind, "--n", n]).encode())
     legendre = str(workdir / "legendre_7x49.json")
-    for kind in ("periodic", "aperiodic"):
-        argv = ["af", "--set", legendre, "--pair", "0", "1", "--kind", kind,
-                "--zx", "7", "--zy", "7"]
-        got[f"af legendre_7x49 0 1 {kind}"] = _sha(_run(argv).encode())
+    for name, z in (("legendre_7x49", "7"), ("dft_9x81", "9"), ("bjorck_7x49", "7")):
+        for kind in ("periodic", "aperiodic"):
+            argv = ["af", "--set", str(workdir / f"{name}.json"), "--pair", "0", "1",
+                    "--kind", kind, "--zx", z, "--zy", z]
+            got[f"af {name} 0 1 {kind}"] = _sha(_run(argv).encode())
     for name in ("legendre_7x49", "bjorck_7x49", "bjorck_23x529"):
         argv = ["verify", "--set", str(workdir / f"{name}.json"), "--kind", "both"]
         got[f"verify {name}"] = _sha(_run(argv).encode())

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from lazforge import (
     PreconditionError,
     SequenceSet,
-    UnimodSequence,
     bjorck_shifts,
-    cyclic_shift,
     dft_submatrix,
     legendre_shifts,
     make_hmatrix,
@@ -21,16 +19,16 @@ from lazforge import (
 )
 from lazforge.hgen import INNER_TOL, MODULATED_MARGIN
 
-from helpers import stack
+from helpers import entries
 
 
-def entries(row):
-    """A rational row's entries, each as a reduced Fraction of a turn."""
-    return tuple(Fraction(int(k), row.denominator) for k in row.phases)
+def plusminus(h):
+    return [1 if x == 0 else -1 for x in entries(h, 0)]
 
 
-def plusminus(row):
-    return [1 if x == 0 else -1 for x in entries(row)]
+def is_row_shifts(h):
+    """Row i is row 0 shifted left by i."""
+    return all(np.array_equal(h.phases[i], np.roll(h.phases[0], -i)) for i in range(h.size))
 
 
 @st.composite
@@ -40,26 +38,26 @@ def square_sets(draw):
     n = draw(st.integers(2, 12))
     if draw(st.booleans()):
         dens = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
-        rows = [UnimodSequence(draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)), d)
-                for d in dens]
-    else:
-        angle = st.floats(0, 2 * math.pi, exclude_max=True)
-        rows = [UnimodSequence(draw(st.lists(angle, min_size=n, max_size=n))) for _ in range(n)]
-    return stack(rows)
+        d = math.lcm(*dens)
+        rows = [np.multiply(draw(st.lists(st.integers(0, den - 1), min_size=n, max_size=n)),
+                            d // den) for den in dens]
+        return SequenceSet(rows, d)
+    angle = st.floats(0, 2 * math.pi, exclude_max=True)
+    return SequenceSet([draw(st.lists(angle, min_size=n, max_size=n)) for _ in range(n)])
 
 
 class TestDftSubmatrix:
     def test_order_2_rows(self):
         h = dft_submatrix(2)
-        assert entries(h[0]) == (Fraction(0, 3), Fraction(0, 3))
-        assert entries(h[1]) == (Fraction(0, 3), Fraction(1, 3))
+        assert entries(h, 0) == (Fraction(0, 3), Fraction(0, 3))
+        assert entries(h, 1) == (Fraction(0, 3), Fraction(1, 3))
         # cross inner product has magnitude exactly 1: |1 + w_3^{-1}|
         inner = np.vdot(h.matrix[1], h.matrix[0])
         assert abs(abs(inner) - 1) < 1e-12
 
     def test_exact_phase_denominators(self):
         h = dft_submatrix(9)
-        assert all(10 % x.denominator == 0 for r in h for x in entries(r))
+        assert all(10 % x.denominator == 0 for i in range(h.size) for x in entries(h, i))
 
     @pytest.mark.parametrize("n", [2, 5, 9, 35])
     def test_constraints_pass(self, n):
@@ -70,12 +68,11 @@ class TestDftSubmatrix:
 
 class TestLegendreShifts:
     def test_row0_for_7(self):
-        assert plusminus(legendre_shifts(7)[0]) == [1, 1, 1, -1, 1, -1, -1]
+        assert plusminus(legendre_shifts(7)) == [1, 1, 1, -1, 1, -1, -1]
 
     def test_rows_are_declared_shifts(self):
         h = legendre_shifts(7)
-        for i in range(7):
-            assert h[i] == cyclic_shift(h[0], i)
+        assert h.size == 7 and is_row_shifts(h)
 
     def test_composite_rejected(self):
         with pytest.raises(PreconditionError):
@@ -96,7 +93,7 @@ class TestLegendreShifts:
 
 class TestMSequenceShifts:
     def test_reference_row(self):
-        assert plusminus(msequence_shifts(3)[0]) == [-1, -1, -1, 1, -1, 1, 1]
+        assert plusminus(msequence_shifts(3)) == [-1, -1, -1, 1, -1, 1, 1]
 
     def test_degenerate_degree(self):
         with pytest.raises(PreconditionError):
@@ -110,8 +107,7 @@ class TestMSequenceShifts:
 
     def test_rows_are_declared_shifts(self):
         h = msequence_shifts(4)
-        for i in range(15):
-            assert h[i] == cyclic_shift(h[0], i)
+        assert h.size == 15 and is_row_shifts(h)
 
     def test_poly_override(self):
         h = msequence_shifts(3, poly_mask=0b110)  # x^3 + x^2 + x: even, invalid

@@ -13,11 +13,9 @@ from hypothesis import strategies as st
 from lazforge import (
     PreconditionError,
     SequenceSet,
-    UnimodSequence,
     Zone,
     bjorck_shifts,
     cyclic_distinct,
-    cyclic_shift,
     load_sequence_set,
 )
 from lazforge.seqcore import (
@@ -28,7 +26,7 @@ from lazforge.seqcore import (
     sequence_set_to_dict,
 )
 
-from helpers import stack
+from helpers import entries
 
 # a rational phase: the turns x of exp(2*pi*i*x), in [0, 1)
 rational_phases = st.builds(
@@ -40,30 +38,29 @@ rational_phases = st.builds(
 angles = st.floats(0, TWO_PI, exclude_max=True)
 
 
-def seq(phases):
-    """The rational sequence whose entries are the given rational phases."""
-    d = math.lcm(*(p.denominator for p in phases))
-    return UnimodSequence([p.numerator * (d // p.denominator) for p in phases], d)
+def lcm_of(rows):
+    """The least common denominator of rows of rational phases."""
+    return math.lcm(*(p.denominator for row in rows for p in row))
 
 
-def entries(s):
-    """A rational sequence's entries, each as a reduced Fraction of a turn."""
-    return [Fraction(int(k), s.denominator) for k in s.phases]
+def rational_set(rows):
+    """The set whose rows are the given rational phases, over their least
+    common denominator."""
+    d = lcm_of(rows)
+    return SequenceSet([[p.numerator * (d // p.denominator) for p in row] for row in rows], d)
 
 
-def complex_entries(s):
-    """A sequence's entries as complex numbers, computed one by one."""
-    if s.is_rational:
-        return [cmath.exp(2j * math.pi * x) for x in entries(s)]
-    return [cmath.exp(1j * float(a)) for a in s.phases]
+def complex_entries(s, i):
+    """Row i of a set as complex numbers, computed one by one."""
+    if s.denominator is not None:
+        return [cmath.exp(2j * math.pi * x) for x in entries(s, i)]
+    return [cmath.exp(1j * float(a)) for a in s.phases[i]]
 
 
-def rational_sequences(min_size=1, max_size=24):
-    return st.lists(rational_phases, min_size=min_size, max_size=max_size).map(seq)
-
-
-def fits_a_set(s):
-    return s.denominator <= MAX_DENOMINATOR
+def rational_rows(min_size=1, max_size=24):
+    """One row of rational phases whose denominator fits a set."""
+    row = st.lists(rational_phases, min_size=min_size, max_size=max_size)
+    return row.filter(lambda r: lcm_of([r]) <= MAX_DENOMINATOR)
 
 
 def saved_bytes(s):
@@ -79,53 +76,39 @@ def json_bytes(s):
     return (json.dumps(sequence_set_to_dict(s), indent=2) + "\n").encode()
 
 
-class TestCyclicShift:
-    def test_definition_unrolled(self):
-        x = [Fraction(k, 5) for k in range(3)]
-        assert entries(cyclic_shift(seq(x), 1)) == [x[1], x[2], x[0]]
-
-    def test_identity_shifts(self):
-        s = UnimodSequence(range(4), 7)
-        assert cyclic_shift(s, 0) == s
-        assert cyclic_shift(s, 4) == s
-
-    @given(rational_sequences(), st.integers(-20, 20), st.integers(-20, 20))
-    def test_shift_composes_additively(self, s, a, b):
-        assert cyclic_shift(cyclic_shift(s, a), b) == cyclic_shift(s, a + b)
-
-
 class TestEqualUpToShift:
-    """Two-member sets (s, t): cyclic_distinct's witness is (0, 1, tau) for
-    the first tau with t == c * cyclic_shift(s, tau), c a unit constant."""
+    """Two-member sets: cyclic_distinct's witness is (0, 1, tau) for the first
+    tau with row 1 == c * (row 0 shifted left by tau), c a unit constant."""
 
     @staticmethod
-    def shift(s, t):
-        witness = cyclic_distinct(stack((s, t))).witness
+    def shift(rows, d):
+        witness = cyclic_distinct(SequenceSet(rows, d)).witness
         return None if witness is None else witness[2]
 
     def test_finds_constructed_shift(self):
-        s = UnimodSequence([k * k for k in range(8)], 11)
-        assert self.shift(s, cyclic_shift(s, 3)) == 3
+        s = [k * k for k in range(8)]
+        assert self.shift([s, np.roll(s, -3)], 11) == 3
 
     def test_finds_phase_scaling(self):
-        s = UnimodSequence([k * k for k in range(8)], 11)
-        quarter_turn = UnimodSequence([4 * k * k + 11 for k in range(8)], 44)  # i * s
-        assert self.shift(s, quarter_turn) == 0
+        s = [4 * k * k for k in range(8)]  # over 44, so s + 11 is i * s
+        assert self.shift([s, np.add(s, 11)], 44) == 0
 
     def test_constructed_set_members_not_shift_equivalent(self, set_7_7):
-        assert self.shift(set_7_7[0], set_7_7[1]) is None
+        assert self.shift(set_7_7.phases[:2], set_7_7.denominator) is None
 
-    @given(rational_sequences(min_size=2, max_size=12).filter(fits_a_set))
+    @given(rational_rows(min_size=2, max_size=12))
     @settings(max_examples=30)
-    def test_reflexive(self, s):
-        assert self.shift(s, s) == 0
+    def test_reflexive(self, row):
+        s = rational_set([row])
+        assert self.shift([s.phases[0]] * 2, s.denominator) == 0
 
-    @given(rational_sequences(min_size=2, max_size=10).filter(fits_a_set), st.integers(0, 9))
+    @given(rational_rows(min_size=2, max_size=10), st.integers(0, 9))
     @settings(max_examples=30)
-    def test_symmetric(self, s, tau):
-        t = cyclic_shift(s, tau)
-        assert self.shift(s, t) is not None
-        assert self.shift(t, s) is not None
+    def test_symmetric(self, row, tau):
+        s = rational_set([row])
+        shifted = np.roll(s.phases[0], -tau)
+        assert self.shift([s.phases[0], shifted], s.denominator) is not None
+        assert self.shift([shifted, s.phases[0]], s.denominator) is not None
 
 
 class TestZone:
@@ -146,17 +129,17 @@ class TestSetFormat:
         back = sequence_set_from_dict(json.loads(json.dumps(d)))
         assert back == set_7_7
 
-    @given(st.lists(rational_sequences(min_size=3, max_size=3), min_size=1, max_size=4)
+    @given(st.lists(st.lists(rational_phases, min_size=3, max_size=3), min_size=1, max_size=4)
            | st.lists(st.lists(angles, min_size=3, max_size=3), min_size=1, max_size=4)
            .map(SequenceSet))
     @settings(max_examples=50)
     def test_rational_roundtrip_random(self, s):
-        if isinstance(s, list):  # rational members
-            if math.lcm(*(m.denominator for m in s)) > MAX_DENOMINATOR:
+        if isinstance(s, list):  # rows of rational phases
+            if lcm_of(s) > MAX_DENOMINATOR:
                 with pytest.raises(PreconditionError, match="denominator"):
-                    stack(s)
+                    rational_set(s)
                 return
-            s = stack(s)
+            s = rational_set(s)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "set.json"
             save_sequence_set(s, path)
@@ -199,47 +182,51 @@ class TestSetArray:
         s = SequenceSet([[2, 4], [0, 6]], 8)
         assert s.denominator == 4 and s.phases.tolist() == [[1, 2], [0, 3]]
         assert s == SequenceSet([[1, 2], [0, 3]], 4)
-        assert s[0] == UnimodSequence([1, 2], 4) and s[1] == UnimodSequence([0, 3], 4)
-        assert list(s) == [s[0], s[1]]
 
     def test_float_rows_folded_and_read_only(self):
         s = SequenceSet([[-1e-20, 7.0], [-TWO_PI, 1.0]])
         assert s.phases.tolist() == [[0.0, 7.0 % TWO_PI], [0.0, 1.0]]
-        assert not s.is_rational and s != SequenceSet([[0, 1], [0, 1]], 1)
+        assert s.denominator is None and s != SequenceSet([[0, 1], [0, 1]], 1)
         with pytest.raises(ValueError):
             s.phases[0, 0] = 1.0
 
     def test_matrix_is_the_members_values(self, set_7_7):
-        assert np.array_equal(set_7_7.matrix, np.stack([m.values for m in set_7_7]))
+        # a row reduced to its own denominator has bit-identical entries
+        d = set_7_7.denominator
+        for i, row in enumerate(set_7_7.phases):
+            assert np.array_equal(set_7_7.matrix[i], SequenceSet([row], d).matrix[0])
 
 
 class TestArrayPhases:
-    def test_canonical_denominator(self):
-        s = UnimodSequence([2, 4, 10], 8)
-        assert s.denominator == 4 and s.phases.tolist() == [1, 2, 1]
-        assert s == UnimodSequence([1, 2, 1], 4)
-        assert UnimodSequence([0, 5], 5).denominator == 1
+    """One-row sets: a sequence is a row of its set's phase array."""
+
+    def test_smallest_denominator(self):
+        s = SequenceSet([[2, 4, 10]], 8)
+        assert s.denominator == 4 and s.phases.tolist() == [[1, 2, 1]]
+        assert s == SequenceSet([[1, 2, 1]], 4)
+        assert SequenceSet([[0, 5]], 5).denominator == 1
 
     def test_entries_are_phases(self):
-        s = UnimodSequence([1, 3], 6)
-        assert entries(s) == [Fraction(1, 6), Fraction(1, 2)]
-        assert UnimodSequence([1.5]).phases.tolist() == [1.5]
+        s = SequenceSet([[1, 3]], 6)
+        assert entries(s, 0) == (Fraction(1, 6), Fraction(1, 2))
+        assert SequenceSet([[1.5]]).phases.tolist() == [[1.5]]
 
     def test_rational_and_float_never_equal(self):
-        assert UnimodSequence([0], 1) != UnimodSequence([0.0])
+        assert SequenceSet([[0]], 1) != SequenceSet([[0.0]])
 
     def test_float_angles_in_unit_range(self):
         # -1e-20 mod 2*pi rounds to 2*pi itself; it must land on 0
-        s = UnimodSequence([-1e-20, 7.0, -TWO_PI])
-        assert s.phases.tolist() == [0.0, 7.0 % TWO_PI, 0.0]
+        s = SequenceSet([[-1e-20, 7.0, -TWO_PI]])
+        assert s.phases.tolist() == [[0.0, 7.0 % TWO_PI, 0.0]]
 
     def test_phases_read_only(self):
         with pytest.raises(ValueError):
-            UnimodSequence([1, 2], 3).phases[0] = 0
+            SequenceSet([[1, 2]], 3).phases[0, 0] = 0
 
     def test_values_match_per_entry_phases(self, set_7_7):
-        for member in set_7_7:
-            assert np.allclose(member.values, complex_entries(member), rtol=0, atol=1e-15)
+        for i in range(set_7_7.size):
+            row = set_7_7.matrix[i]
+            assert np.allclose(row, complex_entries(set_7_7, i), rtol=0, atol=1e-15)
 
 
 def _valid_rational():
@@ -341,11 +328,11 @@ class TestSetFileValidation:
     def test_bound_is_inclusive(self):
         d = {"length": 2, "size": 1, "phase_mode": "rational",
              "members": [[[1, 2], [1, MAX_DENOMINATOR]]]}
-        assert sequence_set_from_dict(d)[0].denominator == MAX_DENOMINATOR
+        assert sequence_set_from_dict(d).denominator == MAX_DENOMINATOR
 
     def test_unreduced_fractions_load(self):
         d = _set_entry(_valid_rational(), [-2, 4])
-        assert entries(sequence_set_from_dict(d)[0])[1] == Fraction(1, 2)
+        assert entries(sequence_set_from_dict(d), 0)[1] == Fraction(1, 2)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED, key=str))
     def test_malformed_refused(self, case):

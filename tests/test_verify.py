@@ -14,12 +14,10 @@ from lazforge import (
     LazParams,
     PreconditionError,
     SequenceSet,
-    UnimodSequence,
     Zone,
     build_laz_set,
     certify_laz,
     cyclic_distinct,
-    cyclic_shift,
     dft_submatrix,
     empirical_zone,
     make_hmatrix,
@@ -32,8 +30,6 @@ from lazforge import (
 )
 from lazforge.ambiguity import MAG_TOL_SCALE, _af_blocks
 from lazforge.seqcore import FLOAT_PHASE_TOL
-
-from helpers import stack
 
 
 class TestCertify:
@@ -122,10 +118,10 @@ def shift_sets(draw):
 
 
 def brute_force_witness(s):
-    """The first (i, j, tau), i < j, with s_j == c * cyclic_shift(s_i, tau),
+    """The first (i, j, tau), i < j, with s_j == c * (s_i shifted left by tau),
     entry by entry: exact Fractions for a rational set, cmath within
     FLOAT_PHASE_TOL for a float set."""
-    if s.is_rational:
+    if s.denominator is not None:
         rows = [[Fraction(int(k), s.denominator) for k in row] for row in s.phases]
 
         def same(a, b):
@@ -148,29 +144,29 @@ class TestCyclicDistinct:
         # distinct up to a unit constant; a direct search over every pair and
         # shift confirms the exact (c = 1) case
         assert cyclic_distinct(set_7_7).distinct
-        n, members = set_7_7.length, list(set_7_7)
-        assert all(
-            cyclic_shift(a, tau) != b
-            for i, a in enumerate(members) for b in members[i + 1:] for tau in range(n)
+        n, rows = set_7_7.length, set_7_7.phases
+        assert not any(
+            np.array_equal(np.roll(a, -tau), b)
+            for i, a in enumerate(rows) for b in rows[i + 1:] for tau in range(n)
         )
 
     def test_corrupted_set_fails_with_witness(self, set_7_7):
-        s0 = set_7_7[0]
-        bad = stack((s0, cyclic_shift(s0, 5)))
+        s0 = set_7_7.phases[0]
+        bad = SequenceSet([s0, np.roll(s0, -5)], set_7_7.denominator)
         rep = cyclic_distinct(bad)
         assert not rep.distinct
         assert rep.witness == (0, 1, 5)
 
     def test_phase_mode_catches_scaled_shift(self, set_7_7):
-        s0 = set_7_7[0]
-        d = s0.denominator
-        scaled = UnimodSequence(7 * cyclic_shift(s0, 3).phases + 2 * d, 7 * d)  # w_7^2 times
-        assert all(cyclic_shift(s0, tau) != scaled for tau in range(s0.length))
-        bad = stack((s0, scaled))
+        s0, d = set_7_7.phases[0], set_7_7.denominator
+        bad = SequenceSet([7 * s0, 7 * np.roll(s0, -3) + 2 * d], 7 * d)  # w_7^2 times
+        a, b = bad.phases
+        assert not any(np.array_equal(np.roll(a, -tau), b) for tau in range(bad.length))
         rep = cyclic_distinct(bad)
         assert not rep.distinct and rep.witness == (0, 1, 3)
-        c = bad[1].values[0] / bad[0].values[3]  # the constant, from the witness
-        assert np.allclose(bad[1].values, c * cyclic_shift(bad[0], 3).values, rtol=0, atol=1e-12)
+        a, b = bad.matrix
+        c = b[0] / a[3]  # the constant, from the witness
+        assert np.allclose(b, c * np.roll(a, -3), rtol=0, atol=1e-12)
 
     def test_singleton_vacuously_distinct(self):
         s = SequenceSet([[0, 0]], 1)
@@ -179,10 +175,10 @@ class TestCyclicDistinct:
     def test_agrees_with_full_af_scan(self, set_7_7):
         # shift-with-phase equivalence of a pair is the same as some |AF|
         # reaching the full length over the whole delay-Doppler grid
-        n = set_7_7.length
+        n, mat = set_7_7.length, set_7_7.matrix
         for i, j in ((0, 1), (2, 5)):
             peak = max(
-                abs(periodic_af(set_7_7[i], set_7_7[j], tau, v))
+                abs(periodic_af(mat[i], mat[j], tau, v))
                 for tau in range(n)
                 for v in range(n)
             )

@@ -26,8 +26,34 @@ from .errors import PreconditionError
 from .lpnf import ZFunc
 from .seqcore import SCAN_BLOCK_ENTRIES, SequenceSet, Zone, check_kind
 
-# |AF| comparisons against integer thresholds, scaled by the sequence length
-MAG_TOL_SCALE = 1e-6
+
+def eps(length: int) -> float:
+    """Bound on the round-off of any one computed |AF| value of a length-L
+    set, c * L * log2(L) * 2**-53 with c = 48; a zone maximum or threshold
+    comparison is decided to within it.
+
+    With u = 2**-53 and the terms c_t = a(t) b*(t + tau) of unit modulus:
+    - entries: a rational angle 2*pi*k/D is rounded three times (k/D, the
+      constant 2*pi, the product), so it is off by at most 2.4u * 2*pi <
+      15.1u, and np.exp rounds cos and sin to within 1 ulp each (at most u),
+      so an entry is off by less than 16.6u (float angles are exact inputs:
+      1.5u);
+    - products: a complex product adds at most sqrt(5) u, so a term c_t is
+      off by less than 2 * 16.6u + 2.3u < 36u, and a Doppler bin sums the L
+      terms' errors with unit weights: at most 36uL;
+    - the FFT: Higham's bound (Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., Thm 24.2) on a length-L transform y of c is
+      ||error||_2 <= log2(L) eta / (1 - log2(L) eta) ||y||_2, with eta =
+      mu + gamma_4 (sqrt(2) + mu) < 7u for twiddles within mu = u, and
+      ||y||_2 = sqrt(L) ||c||_2 = L for unit-modulus terms: at most
+      7uL log2(L) on any one bin.  The 1/L and L scalings of the inverse
+      transform and the modulus add at most 4uL.
+    The sum, 40uL + 7uL log2(L), is at most 47uL log2(L) for L >= 2.  The
+    bound is stated for radix 2; numpy's mixed-radix passes are held to a
+    quarter of it by TestRoundOffBound in tests/test_ambiguity.py.  A length-1 transform is the
+    identity, and its one product is bounded as if L were 2.
+    """
+    return 48 * length * math.log2(max(length, 2)) * 2.0**-53
 
 
 def _doppler_vector(length: int, v: int) -> np.ndarray:
@@ -140,48 +166,45 @@ class ThetaReport:
 
 
 def theta_max(s: SequenceSet, zone: Zone, kind: str) -> ThetaReport:
-    """Exhaustive max |AF| over the open zone.
+    """Exhaustive max |AF| over the open zone, the auto maximum without (0, 0).
 
-    The auto maximum excludes (0, 0); the cross maximum scans all ordered
-    pairs over the full zone.  Witness ties break lexicographically on
-    (pair, tau, v), so reports are stable across runs and block sizes.
+    As |AF_ji(tau, v)| = |AF_ij(-tau, -v)| on the symmetric zone, only the
+    pairs i <= j are scanned.  The witness is the first (i, j, tau, v),
+    i <= j, in lexicographic order with |AF| >= maximum - 2 * eps(L): every
+    exact tie of the maximum qualifies, so round-off, the FFT backend and the
+    block size cannot move it.  One more pass over the first qualifying pair
+    finds it.
     """
     check_kind(kind)
     zone.check_fits(s.length)
-    m, n = s.size, s.length
-    ii, jj = np.divmod(np.arange(m * m), m)  # ordered pairs, lexicographic
+    ii, jj = np.triu_indices(s.size)  # pairs i <= j, lexicographic
     delays = zone.delays()
-    vs = np.asarray(zone.dopplers())
-    origin = zone.z_y - 1  # column of v = 0
-    # per pair: the first (tau, v) in order that attains its maximum
-    best = np.full(m * m, -1.0)
-    best_tau = np.zeros(m * m, dtype=np.int64)
-    best_v = np.zeros(m * m, dtype=np.int64)
-    for lo, r, block in _af_blocks(s.matrix, ii, jj, delays, kind, vs % n):
+    origin = (zone.z_x - 1, zone.z_y - 1)  # row of tau = 0, column of v = 0
+    vidx = np.asarray(zone.dopplers()) % s.length
+    best = np.full(len(ii), -1.0)
+    for lo, r, block in _af_blocks(s.matrix, ii, jj, delays, kind, vidx):
         mags = np.abs(block)
         p = slice(lo, lo + len(mags))
-        if delays[r] == 0:
-            mags[ii[p] == jj[p], origin] = -1.0  # exclude the auto origin
-        k = np.argmax(mags, axis=1)
-        top = mags[np.arange(len(k)), k]
-        better = top > best[p]
-        best[p][better] = top[better]
-        best_tau[p][better] = delays[r]
-        best_v[p][better] = vs[k[better]]
+        if r == origin[0]:
+            mags[ii[p] == jj[p], origin[1]] = -1.0  # exclude the auto origin
+        np.maximum(best[p], mags.max(axis=1), out=best[p])
 
     auto = ii == jj
     theta_a = float(best[auto].max(initial=0.0))
     theta_c = float(best[~auto].max(initial=0.0))
-    w = int(np.argmax(best))  # first pair, in order, with the overall maximum
+    measured = max(theta_a, theta_c)
     witness = None
-    if best[w] > -1.0:
-        witness = AFWitness(
-            i=int(ii[w]), j=int(jj[w]), tau=int(best_tau[w]), v=int(best_v[w]),
-            magnitude=float(best[w]),
-        )
-    return ThetaReport(
-        theta_a=theta_a, theta_c=theta_c, theta_max=max(theta_a, theta_c), witness=witness
-    )
+    if best.max() > -1.0:  # the zone holds a point besides the auto origin
+        thr = measured - 2 * eps(s.length)
+        w = int(np.argmax(best >= thr))
+        i, j = int(ii[w]), int(jj[w])
+        mags = np.abs(af_grid(s.matrix[i], s.matrix[j], zone, kind))
+        if i == j:
+            mags[origin] = -1.0
+        # mags.max() == best[w] >= thr, unless batched transforms round differently
+        r, c = divmod(int(np.argmax(mags >= min(thr, mags.max()))), mags.shape[1])
+        witness = AFWitness(i, j, delays[r], zone.dopplers()[c], float(mags[r, c]))
+    return ThetaReport(theta_a=theta_a, theta_c=theta_c, theta_max=measured, witness=witness)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,13 @@ from .numth import (
 )
 from .seqcore import SCAN_BLOCK_ENTRIES, SequenceSet
 
+# |inner| <= 1 is tested as computed <= 1 + INNER_TOL, which keeps an exact 1
+# because a length-N sum is off by at most ambiguity.eps(N) < 1e-9 for any N
+# below 10^4 (eps(127) = 4.7e-12)
 INNER_TOL = 1e-9
+# |modulated| < N is proved by computed <= N - MODULATED_MARGIN, since the
+# exact value is then at most N - 1e-6 + eps(N) < N for any N below 10^6;
+# a wider margin only refuses more
 MODULATED_MARGIN = 1e-6
 
 
@@ -106,7 +112,7 @@ def legendre_shifts(n: int) -> SequenceSet:
     """
     if not is_prime(n) or n == 2:
         raise PreconditionError("length must be an odd prime")
-    minus = [t != 0 and legendre_symbol(t, n) != 1 for t in range(n)]
+    minus = [int(t != 0 and legendre_symbol(t, n) != 1) for t in range(n)]
     return _shift_rows(minus, 2)
 
 

@@ -23,7 +23,9 @@ from .errors import PreconditionError
 
 TWO_PI = 2.0 * math.pi
 
-# per-entry comparison tolerance for float-angle phases
+# per-entry comparison tolerance for float-angle phases: far above the round-off
+# of a difference of two folded angles (a few 2*pi * 2**-53, about 1e-15), far
+# below the phase steps that tell members of a constructed set apart
 FLOAT_PHASE_TOL = 1e-9
 
 # largest common denominator of a set file; keeps numerator products in int64
@@ -46,7 +48,8 @@ class SequenceSet:
     """Sequences of one length as one read-only (size, length) phase array;
     row i is member i, and `matrix[i]` its complex entries.
 
-    Rational (`denominator` D set): int64 numerators k in [0, D), entry
+    Rational (`denominator` D set): integer numerators, refused when given
+    as floats or bools and stored as int64 k in [0, D), entry
     exp(2*pi*i*k/D), with D the smallest denominator that fits every entry
     of the set and at most MAX_DENOMINATOR.  Float (`denominator` None):
     finite radian angles folded into [0, 2*pi).
@@ -58,22 +61,25 @@ class SequenceSet:
     def __post_init__(self):
         d = self.denominator
         try:
-            phases = np.asarray(self.phases, dtype=np.float64 if d is None else np.int64)
+            phases = np.asarray(self.phases, dtype=np.float64 if d is None else None)
         except (ValueError, TypeError, OverflowError):  # ragged or not numbers
             raise PreconditionError("phases must form an array of numbers") from None
+        if phases.ndim != 2 or phases.size < 1:
+            raise PreconditionError("sequence set must be a nonempty 2-D array")
         if d is None:
             if not np.all(np.isfinite(phases)):
                 raise PreconditionError("angles must be finite")
             # the outer mod folds an inner result that rounded up to 2*pi
             phases = np.mod(np.mod(phases, TWO_PI), TWO_PI)
+        elif phases.dtype.kind not in "iu" or not np.can_cast(phases.dtype, np.int64):
+            # a cast would truncate floats and read bools as 0 and 1
+            raise PreconditionError("numerators must be integers")
         elif d <= 0:
             raise PreconditionError("denominator must be positive")
         else:
-            phases = phases % d
+            phases = phases.astype(np.int64, copy=False) % d
             g = np.gcd.reduce(phases, axis=None, initial=d)
             phases, d = phases // g, int(d // g)
-        if phases.ndim != 2 or phases.size < 1:
-            raise PreconditionError("sequence set must be a nonempty 2-D array")
         if d is not None and d > MAX_DENOMINATOR:
             raise PreconditionError(f"common denominator exceeds {MAX_DENOMINATOR}")
         phases.flags.writeable = False

@@ -8,13 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import (
-    AFWitness,
-    MAG_TOL_SCALE,
-    ThetaReport,
-    _af_blocks,
-    theta_max,
-)
+from .ambiguity import AFWitness, ThetaReport, _af_blocks, eps, theta_max
 from .bounds import BoundReport, optimality_factor
 from .construct import LazParams
 from .errors import PreconditionError
@@ -49,6 +43,9 @@ def cyclic_distinct(s: SequenceSet) -> DistinctReport:
     for lo in range(0, len(ii), step):
         pairs = slice(lo, lo + step)
         corr = np.fft.ifft(spectra[ii[pairs]] * np.conj(spectra[jj[pairs]]), axis=1)
+        # a true shift has |corr| = L exactly; three transforms put the computed
+        # value within sqrt(L) * eps(L) of it (5e-7 at L = 32385), far inside
+        # 0.5, and a false candidate only costs the check on the phase array
         for p, tau in zip(*np.nonzero(np.abs(corr) >= n - 0.5)):
             i, j = int(ii[lo + p]), int(jj[lo + p])
             diff = s.phases[j] - np.roll(s.phases[i], -tau)
@@ -98,8 +95,10 @@ class LazCertificate:
 def certify_laz(
     s: SequenceSet, params: LazParams, distinct: DistinctReport | None = None
 ) -> LazCertificate:
-    """Exhaustively measure theta over the claimed zone and compare against
-    the claim (tolerance 1e-6 times the length).
+    """Exhaustively measure theta over the claimed zone with `theta_max`
+    (the pairs i <= j, and its canonical witness) and pass iff the measured
+    theta is at most the claimed theta plus eps(L), the stated round-off
+    bound of one computed |AF| value.
 
     `distinct` is the set's `cyclic_distinct` report when the caller already
     has it; otherwise it is computed here.
@@ -108,8 +107,7 @@ def certify_laz(
         raise PreconditionError("set shape does not match the claimed parameters")
     params.zone.check_fits(s.length)
     report = theta_max(s, params.zone, params.kind)
-    tol = MAG_TOL_SCALE * s.length
-    passed = report.theta_max <= params.theta + tol
+    passed = report.theta_max <= params.theta + eps(s.length)
     try:
         bound = optimality_factor(
             params.theta, params.set_size, params.length,
@@ -134,8 +132,8 @@ def empirical_zone(
     s: SequenceSet, theta_budget: float, kind: str
 ) -> list[tuple[int, int]]:
     """Pareto-maximal open rectangles (-Z_x, Z_x) x (-Z_y, Z_y) whose interior
-    (minus the origin for auto surfaces) stays within the budget, in
-    ascending Z_x and descending Z_y.
+    (minus the origin for auto surfaces) stays within the budget plus
+    eps(L), in ascending Z_x and descending Z_y.
 
     Scans |tau| = 0, 1, 2, ... outward, keeping the widest clean |v| of the
     rows so far.  Row |tau| is the max |AF| over unordered pairs i <= j at
@@ -151,7 +149,7 @@ def empirical_zone(
     if not (math.isfinite(theta_budget) and theta_budget >= 0):
         raise PreconditionError(f"budget must be finite and nonnegative, got {theta_budget}")
     n = s.length
-    thr = theta_budget + MAG_TOL_SCALE * n
+    thr = theta_budget + eps(n)
     ii, jj = np.triu_indices(s.size)
     stop = n // 2 + 1 if kind == "periodic" else n
     cap = max(1, SCAN_BLOCK_ENTRIES // n)

@@ -32,27 +32,17 @@ from lazforge import (
     supported_orders,
     verify_h_constraints,
 )
-from lazforge.ambiguity import MAG_TOL_SCALE
+from lazforge.ambiguity import eps
 from lazforge.numth import is_prime, smallest_prime_factor
 from lazforge.tables import REPORTED_SHOWCASE_FACTORS
 
-from helpers import DIRECT
-
-CONFIGS = [
-    (5, 5, "dft"),
-    (7, 7, "legendre"),
-    (9, 9, "dft"),
-    (7, 11, "mseq"),
-    (15, 17, "mseq"),
-    (25, 49, "dft"),
-    (35, 35, "dft"),
-]
+from helpers import ACCEPTANCE_CONFIGS, DIRECT
 
 
 @pytest.fixture(scope="module")
 def constructed():
     out = {}
-    for n, k, h_kind in CONFIGS:
+    for n, k, h_kind in ACCEPTANCE_CONFIGS:
         f = quad_lpnf(n, 1, 0, k)
         h = make_hmatrix(h_kind, n)
         out[(n, k)] = (f, h, build_laz_set(f, h))
@@ -95,7 +85,7 @@ def test_criterion_2_periodic_certification(constructed):
     for (n, k), (f, h, s) in constructed.items():
         params = predicted_params(n, k, "periodic")
         cert = certify_laz(s, params)
-        tol = MAG_TOL_SCALE * s.length
+        tol = eps(s.length)
         assert cert.passed, (n, k, cert.measured_theta)
         assert cert.measured_theta <= k + tol, (n, k)
         assert cert.measured_theta >= k - tol, (n, k)  # hit exactly at a witness
@@ -114,7 +104,7 @@ def test_criterion_3_aperiodic_certification(constructed):
         cert = certify_laz(s, params)
         p = smallest_prime_factor(n)
         assert cert.passed, (n, k, cert.measured_theta)
-        assert cert.measured_theta <= k + p - 1 + MAG_TOL_SCALE * s.length
+        assert cert.measured_theta <= k + p - 1 + eps(s.length)
     elapsed = time.perf_counter() - start
     report(
         3,

@@ -183,6 +183,20 @@ class TestSetArray:
         assert s.denominator == 4 and s.phases.tolist() == [[1, 2], [0, 3]]
         assert s == SequenceSet([[1, 2], [0, 3]], 4)
 
+    def test_non_integral_numerators_refused(self):
+        # a cast to int64 would truncate them to [[0, 1]]
+        with pytest.raises(PreconditionError, match="integers"):
+            SequenceSet([[0.5, 1.7]], 2)
+        with pytest.raises(PreconditionError, match="integers"):
+            SequenceSet(np.array([[1.0, 2.0]]), 4)
+
+    def test_bool_numerators_refused(self):
+        # a cast to int64 would read them as [[1, 0]]
+        with pytest.raises(PreconditionError, match="integers"):
+            SequenceSet([[True, False]], 2)
+        with pytest.raises(PreconditionError, match="integers"):
+            SequenceSet(np.ones((2, 3), dtype=bool), 2)
+
     def test_float_rows_folded_and_read_only(self):
         s = SequenceSet([[-1e-20, 7.0], [-TWO_PI, 1.0]])
         assert s.phases.tolist() == [[0.0, 7.0 % TWO_PI], [0.0, 1.0]]

@@ -28,7 +28,7 @@ from lazforge import (
     quad_lpnf,
     reproduce_table,
 )
-from lazforge.ambiguity import MAG_TOL_SCALE, _af_blocks
+from lazforge.ambiguity import _af_blocks, eps
 from lazforge.seqcore import FLOAT_PHASE_TOL
 
 
@@ -45,6 +45,13 @@ class TestCertify:
         cert = certify_laz(set_7_7, claim)
         assert not cert.passed
         assert cert.witness.magnitude == pytest.approx(7, abs=1e-6)
+
+    def test_claim_within_eps_only(self, set_7_7):
+        # theta = K passes; a claim below K by more than eps(L) fails, well
+        # inside the 1e-6 * L slack that the comparison used to allow
+        assert certify_laz(set_7_7, LazParams(7, 49, Zone(7, 7), 7.0, "periodic")).passed
+        claim = LazParams(7, 49, Zone(7, 7), 7.0 - 2 * eps(49), "periodic")
+        assert not certify_laz(set_7_7, claim).passed
 
     def test_shape_mismatch_rejected(self, set_7_7):
         with pytest.raises(PreconditionError):
@@ -71,7 +78,7 @@ class TestPredictedParameters:
         h = dft_submatrix(n)
         for k in (n, n + 2, 2 * n - 1, 2 * n + 1):
             s = build_laz_set(quad_lpnf(n, 1, 0, k), h)
-            tol = MAG_TOL_SCALE * s.length
+            tol = eps(s.length)
             for kind in ("periodic", "aperiodic"):
                 cert = certify_laz(s, predicted_params(n, k, kind))
                 assert cert.passed, (n, k, kind, cert.measured_theta)
@@ -216,7 +223,7 @@ def direct_rectangles(s, budgets, kind):
     folded = np.maximum(folded, folded[:, (-t) % n])
     out = []
     for budget in budgets:
-        thr = budget + MAG_TOL_SCALE * n
+        thr = budget + eps(n)
         clean = np.zeros((n + 2, n + 2), bool)  # clean[z_x, z_y]
         for z_x in range(1, n + 1):
             for z_y in range(1, n + 1):

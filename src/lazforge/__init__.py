@@ -5,7 +5,6 @@ from .ambiguity import (
     AFWitness,
     ThetaReport,
     af_grid,
-    af_row,
     aperiodic_af,
     periodic_af,
     structural_af,

@@ -89,13 +89,14 @@ def _af_blocks(
     kind: str,
     vidx: np.ndarray | slice = slice(None),
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """AF of the row pairs (mat[ii[p]], mat[jj[p]]) at every delay in taus.
+    """AF of the row pairs (mat[ii[p]], mat[jj[p]]) at every delay in taus,
+    each |tau| < L.
 
     Yields (lo, r, block) with block[q, c] = AF_p(taus[r], vidx[c]) for the
     pair p = lo + q; each pair sees the delays in order.  A block holds at
-    most SCAN_BLOCK_ENTRIES products a(t) b*(t+tau), the shift cyclic or
-    zero-padded by kind, and each (block, delay) is one inverse FFT call
-    along the rows.
+    most SCAN_BLOCK_ENTRIES products a(t) b*(<t+tau>_L), the cyclic ones;
+    the aperiodic kind zeroes the products whose shift wraps.  Each (block,
+    delay) is one inverse FFT call along the rows.
     """
     n = mat.shape[1]
     step = max(1, SCAN_BLOCK_ENTRIES // n)
@@ -104,48 +105,25 @@ def _af_blocks(
         bc = np.conj(mat[jj[lo : lo + step]])
         c = np.empty_like(a)
         for r, tau in enumerate(taus):
-            if kind == "periodic":
-                t = tau % n
-                np.multiply(a[:, : n - t], bc[:, t:], out=c[:, : n - t])
-                np.multiply(a[:, n - t :], bc[:, :t], out=c[:, n - t :])
-            elif abs(tau) >= n:
-                c[:] = 0
-            elif tau >= 0:
-                np.multiply(a[:, : n - tau], bc[:, tau:], out=c[:, : n - tau])
-                c[:, n - tau :] = 0
-            else:
-                np.multiply(a[:, -tau:], bc[:, : n + tau], out=c[:, -tau:])
-                c[:, :-tau] = 0
+            t = tau % n
+            np.multiply(a[:, : n - t], bc[:, t:], out=c[:, : n - t])
+            np.multiply(a[:, n - t :], bc[:, :t], out=c[:, n - t :])
+            if kind == "aperiodic":  # zero the wrapped terms
+                c[:, slice(n - t, n) if tau >= 0 else slice(n - t)] = 0
             block = np.fft.ifft(c, axis=1)[:, vidx]
             block *= n
             yield lo, r, block
 
 
-def _pair_rows(
-    a: np.ndarray,
-    b: np.ndarray,
-    taus: Sequence[int],
-    kind: str,
-    vidx: np.ndarray | slice = slice(None),
-) -> np.ndarray:
-    """AF_ab(taus[r], vidx[c]) as a (len(taus), len(vidx)) array."""
-    check_kind(kind)
-    _check_pair(a, b)
-    mat = np.vstack((a, b))
-    blocks = _af_blocks(mat, np.array([0]), np.array([1]), taus, kind, vidx)
-    return np.vstack([block for _, _, block in blocks])
-
-
-def af_row(a: np.ndarray, b: np.ndarray, tau: int, kind: str) -> np.ndarray:
-    """AF(tau, v) for all v in [0, L) by a single length-L transform."""
-    return _pair_rows(a, b, [tau], kind)[0]
-
-
 def af_grid(a: np.ndarray, b: np.ndarray, zone: Zone, kind: str) -> np.ndarray:
     """AF_ab over the open zone as a (len(zone.delays()), len(zone.dopplers()))
     array, rows in delay order and columns in Doppler order."""
-    zone.check_fits(len(a))
-    return _pair_rows(a, b, zone.delays(), kind, np.asarray(zone.dopplers()) % len(a))
+    check_kind(kind)
+    n = _check_pair(a, b)
+    zone.check_fits(n)
+    vidx = np.asarray(zone.dopplers()) % n
+    blocks = _af_blocks(np.vstack((a, b)), np.array([0]), np.array([1]), zone.delays(), kind, vidx)
+    return np.vstack([block for _, _, block in blocks])
 
 
 @dataclass(frozen=True)

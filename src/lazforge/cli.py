@@ -4,13 +4,16 @@ Subcommands: gen, hgen, lpnf, af, bounds, tables, verify.  Exit codes:
 0 success/pass, 1 verification fail, 2 usage error, 3 precondition error.
 Bad input never exits 0 or 1: an argument that does not parse is a usage
 error; a malformed or non-finite set, meta file, size, theta or budget is a
-precondition error.  Numeric output uses 9 significant digits so identical
-inputs produce byte-identical files.
+precondition error.  One pass rounds every float in the JSON reports of
+verify, bounds and hgen verify to 9 significant digits, and af writes its
+CSV at 9 digits, so identical inputs produce byte-identical output.  The set and meta files that gen and hgen write are
+input data and keep full precision.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -43,8 +46,15 @@ from .seqcore import (
 from .verify import certify_laz, cyclic_distinct, empirical_zone, reproduce_table
 
 
-def _round9(x: float) -> float:
-    return float(f"{x:.9g}")
+def _round9(value):
+    """The JSON value with every float in it rounded to 9 significant digits."""
+    if isinstance(value, float):
+        return float(f"{value:.9g}")
+    if isinstance(value, dict):
+        return {key: _round9(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_round9(item) for item in value]
+    return value
 
 
 def _write(text: str, path: str | None = None) -> None:
@@ -98,16 +108,15 @@ def _cmd_hgen(args) -> int:
             return 2
         h = load_sequence_set(args.mode[1])
         report = verify_h_constraints(h)
-        _json_out(
-            {
-                "order": h.size,
-                "max_offdiag_inner": _round9(report.max_offdiag_inner),
-                "max_modulated": _round9(report.max_modulated),
-                "pass": report.passed,
-                "inner_witness": report.inner_witness,
-                "modulated_witness": report.modulated_witness,
-            }
-        )
+        out = {
+            "order": h.size,
+            "max_offdiag_inner": report.max_offdiag_inner,
+            "max_modulated": report.max_modulated,
+            "pass": report.passed,
+            "inner_witness": report.inner_witness,
+            "modulated_witness": report.modulated_witness,
+        }
+        _json_out(_round9(out))
         return 0 if report.passed else 1
     if args.kind is None or args.n is None:
         print("error: --kind and --n are required to generate", file=sys.stderr)
@@ -153,17 +162,7 @@ def _cmd_af(args) -> int:
 
 def _cmd_bounds(args) -> int:
     report = optimality_factor(args.theta, args.m, args.len, args.zx, args.zy, args.kind)
-    _json_out(
-        {
-            "bound_value": _round9(report.bound_value),
-            "theta": _round9(report.theta),
-            "rho": _round9(report.rho),
-            "regime": report.regime,
-            "gamma_limit": None
-            if report.gamma_limit is None
-            else _round9(report.gamma_limit),
-        }
-    )
+    _json_out(_round9(dataclasses.asdict(report)))
     return 0
 
 
@@ -200,23 +199,14 @@ def _cmd_verify(args) -> int:
     for kind in kinds:
         params = LazParams.from_dict(meta.get(kind) if isinstance(meta, dict) else None)
         cert = certify_laz(s, params, distinct=distinct)
-        d = cert.to_dict()
-        d["measured_theta"] = _round9(d["measured_theta"])
-        if d["witness"]:
-            d["witness"]["magnitude"] = _round9(d["witness"]["magnitude"])
-        if d["bound"] is not None:
-            for key in ("bound_value", "theta", "rho", "gamma_limit"):
-                if d["bound"][key] is not None:
-                    d["bound"][key] = _round9(d["bound"][key])
-        out["certificates"].append(d)
+        out["certificates"].append(cert.to_dict())
         out["all_pass"] &= cert.passed and cert.cyclically_distinct
     out["cyclically_distinct"] = distinct.distinct
     if args.empirical_budget is not None:
         out["empirical_rectangles"] = {
-            kind: [list(r) for r in empirical_zone(s, args.empirical_budget, kind)]
-            for kind in kinds
+            kind: empirical_zone(s, args.empirical_budget, kind) for kind in kinds
         }
-    _json_out(out)
+    _json_out(_round9(out))
     return 0 if out["all_pass"] else 1
 
 

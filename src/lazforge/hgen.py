@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ambiguity import eps
 from .errors import PreconditionError
 from .numth import (
     is_prime,
@@ -55,8 +56,11 @@ def verify_h_constraints(h: SequenceSet) -> HReport:
     A set that is not square is a PreconditionError.  As
     |sum_n h_j h_i* w_N^{nv}| = |sum_n h_i h_j* w_N^{-nv}|, only the pairs
     i < j are scanned, in blocks of at most SCAN_BLOCK_ENTRIES products,
-    keeping each pair's maximum over v and its first maximising v.  Each
-    witness is the first pair i < j, in lexicographic order, at the maximum.
+    keeping each pair's maximum over v and its v = 0 bin, the inner product.
+    Each witness is the first pair i < j, in lexicographic order, within
+    2 * eps(N) of the maximum, and the modulated witness's v is the first
+    within that band on its pair (one more transform): every exact tie
+    qualifies, so round-off cannot move a witness.
     """
     n = h.size
     if h.length != n:
@@ -66,24 +70,27 @@ def verify_h_constraints(h: SequenceSet) -> HReport:
     r, rc = h.matrix, np.conj(h.matrix)
     ii, jj = np.triu_indices(n, 1)
     inner, mod_max = np.empty((2, len(ii)))
-    mod_v = np.empty(len(ii), dtype=np.int64)
     step = max(1, SCAN_BLOCK_ENTRIES // n)
     for lo in range(0, len(ii), step):
         pairs = slice(lo, lo + step)
         prod = r.take(ii[pairs], axis=0)
         prod *= rc.take(jj[pairs], axis=0)
-        inner[pairs] = np.abs(prod.sum(axis=1))
         prod = np.fft.ifft(prod, axis=1)  # v runs along axis 1
         prod *= n
         modulated = np.abs(prod)
+        inner[pairs] = modulated[:, 0]
         mod_max[pairs] = modulated.max(axis=1)
-        mod_v[pairs] = modulated.argmax(axis=1)
 
-    p, q = int(np.argmax(inner)), int(np.argmax(mod_max))
-    max_inner, max_mod = float(inner[p]), float(mod_max[q])
+    max_inner, max_mod = float(inner.max()), float(mod_max.max())
+    band = 2 * eps(n)
+    p = int(np.argmax(inner >= max_inner - band))
+    q = int(np.argmax(mod_max >= max_mod - band))
+    i, j = int(ii[q]), int(jj[q])
+    row = np.abs(n * np.fft.ifft(r[i] * rc[j]))
+    # row.max() == mod_max[q], unless a lone transform rounds unlike the batch
+    v = int(np.argmax(row >= min(max_mod - band, row.max())))
     passed = max_inner <= 1.0 + INNER_TOL and max_mod <= n - MODULATED_MARGIN
-    return HReport(max_inner, max_mod, passed,
-                   (int(ii[p]), int(jj[p])), (int(ii[q]), int(jj[q]), int(mod_v[q])))
+    return HReport(max_inner, max_mod, passed, (int(ii[p]), int(jj[p])), (i, j, v))
 
 
 def _shift_rows(row0, denominator: int | None = None) -> SequenceSet:

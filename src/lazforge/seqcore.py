@@ -52,7 +52,8 @@ class SequenceSet:
     as floats or bools and stored as int64 k in [0, D), entry
     exp(2*pi*i*k/D), with D the smallest denominator that fits every entry
     of the set and at most MAX_DENOMINATOR.  Float (`denominator` None):
-    finite radian angles folded into [0, 2*pi).
+    finite real radian angles (integers or floats, never bools, complex
+    numbers or strings) folded into [0, 2*pi).
     """
 
     phases: np.ndarray
@@ -61,12 +62,16 @@ class SequenceSet:
     def __post_init__(self):
         d = self.denominator
         try:
-            phases = np.asarray(self.phases, dtype=np.float64 if d is None else None)
+            phases = np.asarray(self.phases)
         except (ValueError, TypeError, OverflowError):  # ragged or not numbers
             raise PreconditionError("phases must form an array of numbers") from None
         if phases.ndim != 2 or phases.size < 1:
             raise PreconditionError("sequence set must be a nonempty 2-D array")
         if d is None:
+            if phases.dtype.kind not in "iuf":
+                # a cast would read bools as 0 and 1, drop imaginary parts and parse strings
+                raise PreconditionError("angles must be real numbers")
+            phases = phases.astype(np.float64, copy=False)
             if not np.all(np.isfinite(phases)):
                 raise PreconditionError("angles must be finite")
             # the outer mod folds an inner result that rounded up to 2*pi

@@ -4,11 +4,11 @@ maximal zones, and reference-table reproduction."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ambiguity import AFWitness, ThetaReport, _af_blocks, eps, theta_max
+from .ambiguity import AFWitness, _af_blocks, eps, theta_max
 from .bounds import BoundReport, optimality_factor
 from .construct import LazParams
 from .errors import PreconditionError
@@ -67,27 +67,15 @@ class LazCertificate:
     witness: AFWitness | None
     bound_report: BoundReport | None  # None when the zone makes the bound vacuous
     cyclically_distinct: bool
-    theta_report: ThetaReport
 
     def to_dict(self) -> dict:
-        w = self.witness
-        b = self.bound_report
+        w, b = self.witness, self.bound_report
         return {
             "claimed": self.claimed.to_dict(),
             "measured_theta": self.measured_theta,
             "pass": self.passed,
-            "witness": None
-            if w is None
-            else {"i": w.i, "j": w.j, "tau": w.tau, "v": w.v, "magnitude": w.magnitude},
-            "bound": None
-            if b is None
-            else {
-                "bound_value": b.bound_value,
-                "theta": b.theta,
-                "rho": b.rho,
-                "regime": b.regime,
-                "gamma_limit": b.gamma_limit,
-            },
+            "witness": None if w is None else asdict(w),
+            "bound": None if b is None else asdict(b),
             "cyclically_distinct": self.cyclically_distinct,
         }
 
@@ -105,7 +93,6 @@ def certify_laz(
     """
     if s.size != params.set_size or s.length != params.length:
         raise PreconditionError("set shape does not match the claimed parameters")
-    params.zone.check_fits(s.length)
     report = theta_max(s, params.zone, params.kind)
     passed = report.theta_max <= params.theta + eps(s.length)
     try:
@@ -124,7 +111,6 @@ def certify_laz(
         witness=report.witness,
         bound_report=bound,
         cyclically_distinct=distinct.distinct,
-        theta_report=report,
     )
 
 

@@ -2,10 +2,19 @@
 
 from fractions import Fraction
 
-from lazforge import aperiodic_af, periodic_af
+from lazforge import Zone, af_grid, aperiodic_af, periodic_af
 
 # the direct-sum AF of each kind, the oracle for the batched kernel
 DIRECT = {"periodic": periodic_af, "aperiodic": aperiodic_af}
+
+
+def doppler_row(a, b, tau, kind):
+    """AF_ab(tau, v) for every v in [0, L), read from af_grid over the full
+    zone (L, L), whose row tau + L - 1 holds delay tau and column v + L - 1
+    Doppler v."""
+    n = len(a)
+    return af_grid(a, b, Zone(n, n), kind)[tau + n - 1, n - 1 :]
+
 
 # the (N, K, companion family) sets the acceptance suite certifies
 ACCEPTANCE_CONFIGS = [

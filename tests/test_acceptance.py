@@ -13,7 +13,6 @@ import pytest
 from lazforge import (
     SequenceSet,
     Zone,
-    af_row,
     asymptotic_rho,
     build_laz_set,
     certify_laz,
@@ -36,7 +35,7 @@ from lazforge.ambiguity import eps
 from lazforge.numth import is_prime, smallest_prime_factor
 from lazforge.tables import REPORTED_SHOWCASE_FACTORS
 
-from helpers import ACCEPTANCE_CONFIGS, DIRECT
+from helpers import ACCEPTANCE_CONFIGS, DIRECT, doppler_row
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +161,7 @@ def test_criterion_5_oracle_equivalence(constructed):
         a, b = np.exp(2j * np.pi * rng.random((2, length)))
         for kind, direct in DIRECT.items():
             for tau in (-2, 0, 1, length // 2):
-                row = af_row(a, b, tau, kind)
+                row = doppler_row(a, b, tau, kind)
                 for v in range(length):
                     err = abs(row[v] - direct(a, b, tau, v)) / length
                     worst_fft = max(worst_fft, err)

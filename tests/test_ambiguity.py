@@ -11,7 +11,6 @@ from lazforge import (
     SequenceSet,
     Zone,
     af_grid,
-    af_row,
     aperiodic_af,
     build_laz_set,
     legendre_shifts,
@@ -25,7 +24,7 @@ from lazforge import (
 )
 from lazforge.ambiguity import eps
 
-from helpers import ACCEPTANCE_CONFIGS, DIRECT
+from helpers import ACCEPTANCE_CONFIGS, DIRECT, doppler_row
 
 # the acceptance sets, and Björck companions (float phases) up to 23x529
 BOUND_SETS = ACCEPTANCE_CONFIGS + [(7, 7, "bjorck"), (23, 23, "bjorck")]
@@ -115,6 +114,8 @@ class TestPointEvaluation:
 
 
 class TestAfRow:
+    """Doppler rows and full surfaces of af_grid against the direct sums."""
+
     @pytest.mark.parametrize("length", [7, 21, 49, 77])
     @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
     def test_matches_pointwise(self, length, kind):
@@ -122,19 +123,19 @@ class TestAfRow:
         b = random_unimodular(length, length + 1)
         direct = DIRECT[kind]
         for tau in (0, 1, length // 2, -1):
-            row = af_row(a, b, tau, kind)
+            row = doppler_row(a, b, tau, kind)
             for v in (0, 1, length - 1, length // 3):
                 assert row[v] == pytest.approx(direct(a, b, tau, v), abs=1e-9 * length)
 
     def test_tau0_periodic_row_is_transform_of_product(self):
         a, b = random_unimodular(12, 7), random_unimodular(12, 8)
-        row = af_row(a, b, 0, "periodic")
+        row = doppler_row(a, b, 0, "periodic")
         want = 12 * np.fft.ifft(a * np.conj(b))
         assert np.allclose(row, want, atol=1e-12)
 
     def test_all_ones_row(self):
         a = np.ones(6, complex)
-        row = af_row(a, a, 0, "periodic")
+        row = doppler_row(a, a, 0, "periodic")
         assert np.allclose(row, [6, 0, 0, 0, 0, 0], atol=1e-12)
 
     def test_grid_matches_definition(self, set_7_7):
@@ -146,6 +147,18 @@ class TestAfRow:
             for c, v in enumerate(zone.dopplers()):
                 want = aperiodic_af(a, b, tau, v)
                 assert g[r, c] == pytest.approx(want, abs=1e-9 * 49)
+
+    @pytest.mark.parametrize("length", [7, 12])
+    @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
+    def test_full_grid_matches_direct(self, length, kind):
+        # every (tau, v) with |tau|, |v| < L, the wrapped-term zeroing at
+        # tau = +-(L - 1) included
+        a = random_unimodular(length, 3 * length)
+        b = random_unimodular(length, 3 * length + 1)
+        zone = Zone(length, length)
+        g = af_grid(a, b, zone, kind)
+        want = [[DIRECT[kind](a, b, tau, v) for v in zone.dopplers()] for tau in zone.delays()]
+        assert np.allclose(g, want, rtol=0, atol=1e-12 * length)
 
 
 class TestThetaMax:

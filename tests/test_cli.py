@@ -72,6 +72,22 @@ class TestGenVerifyPipeline:
         assert code == 1
         assert not json.loads(stdout)["all_pass"]
 
+    def test_claimed_theta_echoed_at_9_digits(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        run(capsys, "gen", "--n", "5", "--k", "5", "-o", str(out))
+        meta_path = tmp_path / "s.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["periodic"]["theta"] = 7.123456789123  # 13 significant digits
+        meta_path.write_text(json.dumps(meta))
+        code, stdout, _ = run(
+            capsys, "verify", "--set", str(out), "--meta", str(meta_path),
+            "--kind", "periodic",
+        )
+        assert code == 0
+        cert = json.loads(stdout)["certificates"][0]
+        assert cert["claimed"]["theta"] == cert["bound"]["theta"] == 7.12345679
+        assert "7.123456789123" not in stdout
+
     def test_float_phase_pipeline(self, tmp_path, capsys):
         # Björck companions carry non-rational phases; the set file switches
         # to float mode and certification still holds

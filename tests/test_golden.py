@@ -17,6 +17,12 @@ bjorck_23x529 sets were re-pinned when the certificate's witness became the
 first point, over the pairs i <= j, within 2 * eps(L) of the maximum; they
 differ from the earlier digests in the witness (i, j, tau, v) only, and
 every old and new witness are exact ties.
+The two `hgen verify` digests were pinned on the program as it stood before
+the companion verifier's witnesses became the first pair, and the first v
+on it, within 2 * eps(N) of the maximum, and re-pinned after that change;
+only the witness fields moved, between exact ties: the DFT order-35 inner
+witness from (2, 22) to (0, 1), and the Björck order-7 modulated witness
+from (2, 3, 4) to (0, 1, 4).
 To print the digests of the current program:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -59,6 +65,8 @@ GOLDEN = {
     "gen power_11_2 meta": "65cc2cbb2b3242c21dc464d2605e138fa6c2ff2f0ac1fb1c67fabfaedcd5d57d",
     "hgen dft 35": "105a7132d1788808cdbb1d2bf28d64b6ec044f7aab73d0586b91fc12ba9bbf29",
     "hgen bjorck 7": "88bb703fbd0e48183cf3802743dad633587a088f5b55756651b72501c50ec417",
+    "hgen verify dft 35": "c47402e37df872ad08aeef901f39a879a013c6e4fe3f90d211c67930bf393552",
+    "hgen verify bjorck 7": "da5902482736eec8dad57df9b8743bcfab36570f15f928b8efdfedc9867eeaad",
     "af legendre_7x49 0 1 periodic": "e33a0a37bbc625801f7792e02fbbe541ad804777686be536d31b80f379db543f",
     "af legendre_7x49 0 1 aperiodic": "6d26fe41a6e63f35abdf09b8407c57185347ac6dca3a1d7fc8033e5d3f252623",
     "af dft_9x81 0 1 periodic": "8cd2690e0922e3dab270654df86c37412b3e3fc2f8a81995b5ee76b4b7b085b7",
@@ -95,7 +103,11 @@ def digests(workdir: Path) -> dict[str, str]:
         got[f"gen {name} set"] = _sha(path.read_bytes())
         got[f"gen {name} meta"] = _sha(path.with_suffix(".meta.json").read_bytes())
     for kind, n in (("dft", "35"), ("bjorck", "7")):
-        got[f"hgen {kind} {n}"] = _sha(_run(["hgen", "--kind", kind, "--n", n]).encode())
+        matrix = _run(["hgen", "--kind", kind, "--n", n])
+        got[f"hgen {kind} {n}"] = _sha(matrix.encode())
+        path = workdir / f"hgen_{kind}_{n}.json"
+        path.write_text(matrix)
+        got[f"hgen verify {kind} {n}"] = _sha(_run(["hgen", "verify", str(path)]).encode())
     legendre = str(workdir / "legendre_7x49.json")
     for name, z in (("legendre_7x49", "7"), ("dft_9x81", "9"), ("bjorck_7x49", "7")):
         for kind in ("periodic", "aperiodic"):

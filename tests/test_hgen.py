@@ -17,6 +17,7 @@ from lazforge import (
     supported_orders,
     verify_h_constraints,
 )
+from lazforge.ambiguity import eps
 from lazforge.hgen import INNER_TOL, MODULATED_MARGIN
 
 from helpers import entries
@@ -194,6 +195,27 @@ class TestVerifier:
         assert i < j and abs(inner[i, j] - rep.max_offdiag_inner) <= 1e-9
         i, j, v = rep.modulated_witness
         assert i < j and abs(modulated[i, j][v] - rep.max_modulated) <= 1e-9
+
+    @pytest.mark.parametrize("kind,order", [("dft", 35), ("legendre", 7), ("mseq", 127),
+                                            ("bjorck", 7)])
+    def test_witnesses_are_first_within_band(self, kind, order):
+        # each has exact ties that round-off orders differently: the pair
+        # argmax of the inner products, or the v argmax on the modulated
+        # witness pair, is not the first tie
+        h = make_hmatrix(kind, order)
+        n, r = h.size, h.matrix
+        band = 2 * eps(n)
+        dft = np.exp(2j * np.pi * np.outer(range(n), range(n)) / n)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        inner = {p: abs(np.vdot(r[p[1]], r[p[0]])) for p in pairs}
+        modulated = {(i, j): np.abs((r[i] * np.conj(r[j])) @ dft) for i, j in pairs}
+        max_inner = max(inner.values())
+        max_mod = max(row.max() for row in modulated.values())
+        rep = verify_h_constraints(h)
+        assert rep.inner_witness == next(p for p in pairs if inner[p] >= max_inner - band)
+        i, j = next(p for p in pairs if modulated[p].max() >= max_mod - band)
+        v = int(np.argmax(modulated[i, j] >= max_mod - band))
+        assert rep.modulated_witness == (i, j, v)
 
     def test_from_set_requires_square(self, set_7_7):
         with pytest.raises(PreconditionError):

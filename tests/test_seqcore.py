@@ -197,6 +197,17 @@ class TestSetArray:
         with pytest.raises(PreconditionError, match="integers"):
             SequenceSet(np.ones((2, 3), dtype=bool), 2)
 
+    # a cast to float64 would read the bools as [[1.0, 0.0]], keep only the
+    # real parts (with a ComplexWarning) and parse the strings as numbers
+    @pytest.mark.parametrize("angles", [[[True, False]], np.array([[1 + 2j, 3]]), [["1.5", "2"]]],
+                             ids=["bool", "complex", "string"])
+    def test_non_real_angles_refused(self, angles):
+        with pytest.raises(PreconditionError, match="real numbers"):
+            SequenceSet(angles)
+
+    def test_integer_angles_accepted(self):
+        assert SequenceSet([[1, 2]]).phases.tolist() == [[1.0, 2.0]]
+
     def test_float_rows_folded_and_read_only(self):
         s = SequenceSet([[-1e-20, 7.0], [-TWO_PI, 1.0]])
         assert s.phases.tolist() == [[0.0, 7.0 % TWO_PI], [0.0, 1.0]]

@@ -90,27 +90,30 @@ def _af_blocks(
     vidx: np.ndarray | slice = slice(None),
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """AF of the row pairs (mat[ii[p]], mat[jj[p]]) at every delay in taus,
-    each |tau| < L.
+    each |tau| < L: the one pair scan, behind zone maxima, empirical zones,
+    the companion verifier and the distinctness check.
 
     Yields (lo, r, block) with block[q, c] = AF_p(taus[r], vidx[c]) for the
     pair p = lo + q; each pair sees the delays in order.  A block holds at
     most SCAN_BLOCK_ENTRIES products a(t) b*(<t+tau>_L), the cyclic ones;
-    the aperiodic kind zeroes the products whose shift wraps.  Each (block,
-    delay) is one inverse FFT call along the rows.
+    the aperiodic kind zeroes the products whose shift wraps.  Per block the
+    b rows are gathered and conjugated once; per delay the a rows are
+    gathered, multiplied and inverse transformed along the rows in place.
     """
     n = mat.shape[1]
     step = max(1, SCAN_BLOCK_ENTRIES // n)
     for lo in range(0, len(ii), step):
-        a = mat[ii[lo : lo + step]]
-        bc = np.conj(mat[jj[lo : lo + step]])
-        c = np.empty_like(a)
+        rows = ii[lo : lo + step]
+        bc = mat[jj[lo : lo + step]]
+        np.conjugate(bc, out=bc)
         for r, tau in enumerate(taus):
             t = tau % n
-            np.multiply(a[:, : n - t], bc[:, t:], out=c[:, : n - t])
-            np.multiply(a[:, n - t :], bc[:, :t], out=c[:, n - t :])
+            c = mat[rows]
+            c[:, : n - t] *= bc[:, t:]
+            c[:, n - t :] *= bc[:, :t]
             if kind == "aperiodic":  # zero the wrapped terms
                 c[:, slice(n - t, n) if tau >= 0 else slice(n - t)] = 0
-            block = np.fft.ifft(c, axis=1)[:, vidx]
+            block = np.fft.ifft(c, axis=1, out=c)[:, vidx]
             block *= n
             yield lo, r, block
 
@@ -124,6 +127,12 @@ def af_grid(a: np.ndarray, b: np.ndarray, zone: Zone, kind: str) -> np.ndarray:
     vidx = np.asarray(zone.dopplers()) % n
     blocks = _af_blocks(np.vstack((a, b)), np.array([0]), np.array([1]), zone.delays(), kind, vidx)
     return np.vstack([block for _, _, block in blocks])
+
+
+def _first_at_least(values: np.ndarray, thr: float) -> int:
+    """Flat index of the first value >= min(thr, values.max()), the witness
+    rule: the first maximum if round-off put every value below thr."""
+    return int(np.argmax(values >= min(thr, values.max())))
 
 
 @dataclass(frozen=True)
@@ -174,13 +183,13 @@ def theta_max(s: SequenceSet, zone: Zone, kind: str) -> ThetaReport:
     witness = None
     if best.max() > -1.0:  # the zone holds a point besides the auto origin
         thr = measured - 2 * eps(s.length)
-        w = int(np.argmax(best >= thr))
+        w = _first_at_least(best, thr)
         i, j = int(ii[w]), int(jj[w])
         mags = np.abs(af_grid(s.matrix[i], s.matrix[j], zone, kind))
         if i == j:
             mags[origin] = -1.0
         # mags.max() == best[w] >= thr, unless batched transforms round differently
-        r, c = divmod(int(np.argmax(mags >= min(thr, mags.max()))), mags.shape[1])
+        r, c = divmod(_first_at_least(mags, thr), mags.shape[1])
         witness = AFWitness(i, j, delays[r], zone.dopplers()[c], float(mags[r, c]))
     return ThetaReport(theta_a=theta_a, theta_c=theta_c, theta_max=measured, witness=witness)
 

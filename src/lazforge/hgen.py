@@ -6,8 +6,9 @@ A companion matrix must satisfy, for all row pairs i != j and 0 <= v < N:
     |sum_n h_i(n) h_j*(n)|            <= 1
     |sum_n h_i(n) h_j*(n) w_N^{nv}|   <  N
 
-Both magnitudes are symmetric in (i, j), so the verifier scans only the pairs
-i < j, and its witnesses always have i < j.
+Both read the zero-delay Doppler cut |AF_ij(0, v)| of the row pair's
+periodic AF, the inner product at v = 0, and are symmetric in (i, j): the
+verifier scans the pairs i < j through ambiguity's batched kernel.
 
 Four families are provided: columns of a DFT matrix one size up, and cyclic
 shifts of Legendre, m-, and Björck sequences.  The verifier is authoritative;
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import eps
+from .ambiguity import _af_blocks, _first_at_least, af_grid, eps
 from .errors import PreconditionError
 from .numth import (
     is_prime,
@@ -29,16 +30,7 @@ from .numth import (
     lfsr_sequence,
     smallest_primitive_polynomial,
 )
-from .seqcore import SCAN_BLOCK_ENTRIES, SequenceSet
-
-# |inner| <= 1 is tested as computed <= 1 + INNER_TOL, which keeps an exact 1
-# because a length-N sum is off by at most ambiguity.eps(N) < 1e-9 for any N
-# below 10^4 (eps(127) = 4.7e-12)
-INNER_TOL = 1e-9
-# |modulated| < N is proved by computed <= N - MODULATED_MARGIN, since the
-# exact value is then at most N - 1e-6 + eps(N) < N for any N below 10^6;
-# a wider margin only refuses more
-MODULATED_MARGIN = 1e-6
+from .seqcore import SequenceSet, Zone
 
 
 @dataclass(frozen=True)
@@ -53,44 +45,37 @@ class HReport:
 def verify_h_constraints(h: SequenceSet) -> HReport:
     """Exhaustive scan of both constraints over i != j and 0 <= v < N.
 
-    A set that is not square is a PreconditionError.  As
-    |sum_n h_j h_i* w_N^{nv}| = |sum_n h_i h_j* w_N^{-nv}|, only the pairs
-    i < j are scanned, in blocks of at most SCAN_BLOCK_ENTRIES products,
-    keeping each pair's maximum over v and its v = 0 bin, the inner product.
-    Each witness is the first pair i < j, in lexicographic order, within
-    2 * eps(N) of the maximum, and the modulated witness's v is the first
-    within that band on its pair (one more transform): every exact tie
-    qualifies, so round-off cannot move a witness.
+    A set that is not square is a PreconditionError.  As |AF_ji(0, v)| =
+    |AF_ij(0, -v)|, `_af_blocks` scans the pairs i < j at delay 0, keeping
+    each pair's maximum over v and its v = 0 bin.  With eps(N) the round-off
+    bound of one computed sum, it passes iff the maxima are <= 1 + eps(N) and
+    < N - eps(N).  Each witness is the first pair i < j within 2 * eps(N) of
+    the maximum, and the modulated witness's v the first within that band on
+    its pair (one more transform), so round-off cannot move a witness.  A
+    1 x 1 set has no pair: both maxima are 0, with no witness.
     """
     n = h.size
     if h.length != n:
         raise PreconditionError(f"companion matrix must be square, got {n} x {h.length}")
-    if n == 1:
-        return HReport(-1.0, -1.0, True, None, None)
-    r, rc = h.matrix, np.conj(h.matrix)
     ii, jj = np.triu_indices(n, 1)
     inner, mod_max = np.empty((2, len(ii)))
-    step = max(1, SCAN_BLOCK_ENTRIES // n)
-    for lo in range(0, len(ii), step):
-        pairs = slice(lo, lo + step)
-        prod = r.take(ii[pairs], axis=0)
-        prod *= rc.take(jj[pairs], axis=0)
-        prod = np.fft.ifft(prod, axis=1)  # v runs along axis 1
-        prod *= n
-        modulated = np.abs(prod)
-        inner[pairs] = modulated[:, 0]
-        mod_max[pairs] = modulated.max(axis=1)
+    for lo, _, block in _af_blocks(h.matrix, ii, jj, [0], "periodic"):
+        modulated = np.abs(block)  # v runs along axis 1
+        inner[lo : lo + len(block)] = modulated[:, 0]
+        mod_max[lo : lo + len(block)] = modulated.max(axis=1)
 
-    max_inner, max_mod = float(inner.max()), float(mod_max.max())
-    band = 2 * eps(n)
-    p = int(np.argmax(inner >= max_inner - band))
-    q = int(np.argmax(mod_max >= max_mod - band))
-    i, j = int(ii[q]), int(jj[q])
-    row = np.abs(n * np.fft.ifft(r[i] * rc[j]))
-    # row.max() == mod_max[q], unless a lone transform rounds unlike the batch
-    v = int(np.argmax(row >= min(max_mod - band, row.max())))
-    passed = max_inner <= 1.0 + INNER_TOL and max_mod <= n - MODULATED_MARGIN
-    return HReport(max_inner, max_mod, passed, (int(ii[p]), int(jj[p])), (i, j, v))
+    max_inner, max_mod = float(inner.max(initial=0.0)), float(mod_max.max(initial=0.0))
+    passed = max_inner <= 1.0 + eps(n) and max_mod < n - eps(n)
+    inner_witness = modulated_witness = None
+    if len(ii):
+        band = 2 * eps(n)
+        p = _first_at_least(inner, max_inner - band)
+        q = _first_at_least(mod_max, max_mod - band)
+        i, j = int(ii[q]), int(jj[q])
+        row = np.abs(af_grid(h.matrix[i], h.matrix[j], Zone(1, n), "periodic")[0, n - 1 :])
+        inner_witness = (int(ii[p]), int(jj[p]))
+        modulated_witness = (i, j, _first_at_least(row, max_mod - band))
+    return HReport(max_inner, max_mod, passed, inner_witness, modulated_witness)
 
 
 def _shift_rows(row0, denominator: int | None = None) -> SequenceSet:
@@ -156,16 +141,14 @@ def bjorck_shifts(p: int) -> SequenceSet:
 
 
 def supported_orders(kind: str, limit: int = 127) -> list[int]:
-    """Arguments for which each generator's output passes the verifier.
-
-    For mseq the listed values are the degrees m, not the orders 2^m - 1.
-    """
+    """Orders up to limit for which each generator's output passes the
+    verifier."""
     if kind == "dft":
         return list(range(2, limit + 1))
     if kind == "legendre":
         return [p for p in range(3, limit + 1) if is_prime(p) and p % 4 == 3]
     if kind == "mseq":
-        return [m for m in range(2, limit.bit_length() + 1) if 2**m - 1 <= limit]
+        return [2**m - 1 for m in range(2, limit.bit_length() + 1) if 2**m - 1 <= limit]
     if kind == "bjorck":
         return [p for p in range(7, limit + 1) if is_prime(p)]
     raise PreconditionError(f"unknown generator kind {kind!r}")

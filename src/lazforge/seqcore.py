@@ -203,13 +203,14 @@ def _refuse_constant(name: str):
 
 def read_json(path: str | Path):
     """The JSON value stored in a file; a missing or unreadable file, any
-    other content, or the non-standard constants NaN and +-Infinity that
-    Python's json would otherwise accept, is a PreconditionError."""
+    other content, the non-standard constants NaN and +-Infinity that
+    Python's json would otherwise accept, or nesting deeper than its decoder
+    recurses, is a PreconditionError."""
     try:
         return json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
     except OSError as e:
         raise PreconditionError(f"cannot read {path}: {e.strerror or e}") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise PreconditionError(f"{path} is not valid JSON: {e}") from None
 
 

@@ -30,23 +30,23 @@ def cyclic_distinct(s: SequenceSet) -> DistinctReport:
     s_j == c * (s_i shifted left by tau), that is s_j(x) == c * s_i(x + tau)
     for every x mod L; the constant is c = s_j(0) / s_i(tau).
 
-    corr_ij[tau] = sum_x s_i(x + tau) s_j*(x) has magnitude L for such a
-    tau.  It comes from the members' spectra, one inverse FFT per block of
-    SCAN_BLOCK_ENTRIES // L pairs in lexicographic order.  That filter is
-    permissive: each candidate, in ascending tau, is confirmed on the phase
-    array, exactly if rational and within FLOAT_PHASE_TOL per entry if float.
+    The members' spectra S = fft(s) give, by the correlation theorem,
+    AF_{S_i S_j}(0, tau) = L * sum_x s_i(x + tau) s_j*(x): the zero-delay
+    Doppler cut of the spectra's periodic AF, which `_af_blocks` scans over
+    the pairs in lexicographic order, has magnitude L^2 at such a tau.  That
+    filter is permissive: each candidate, in ascending tau, is confirmed on
+    the phase array, exactly if rational and within FLOAT_PHASE_TOL per entry
+    if float.
     """
     n, d = s.length, s.denominator
     spectra = np.fft.fft(s.matrix, axis=1)
     ii, jj = np.triu_indices(s.size, 1)
-    step = max(1, SCAN_BLOCK_ENTRIES // n)
-    for lo in range(0, len(ii), step):
-        pairs = slice(lo, lo + step)
-        corr = np.fft.ifft(spectra[ii[pairs]] * np.conj(spectra[jj[pairs]]), axis=1)
-        # a true shift has |corr| = L exactly; three transforms put the computed
-        # value within sqrt(L) * eps(L) of it (5e-7 at L = 32385), far inside
-        # 0.5, and a false candidate only costs the check on the phase array
-        for p, tau in zip(*np.nonzero(np.abs(corr) >= n - 0.5)):
+    for lo, _, block in _af_blocks(spectra, ii, jj, [0], "periodic"):
+        # a true shift has |block| = L^2 exactly; three transforms put the
+        # computed value within L * sqrt(L) * eps(L) of it (0.015 at L = 32385),
+        # far inside L / 2, and a false candidate only costs the check on the
+        # phase array
+        for p, tau in zip(*np.nonzero(np.abs(block) >= n * (n - 0.5))):
             i, j = int(ii[lo + p]), int(jj[lo + p])
             diff = s.phases[j] - np.roll(s.phases[i], -tau)
             diff -= diff[0]

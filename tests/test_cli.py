@@ -151,6 +151,17 @@ class TestHgen:
     def test_bad_positional(self, capsys):
         assert run(capsys, "hgen", "frobnicate")[0] == 2
 
+    def test_verify_one_by_one(self, tmp_path, capsys):
+        # no pair to scan: magnitudes 0, not negative
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(
+            {"length": 1, "size": 1, "phase_mode": "rational", "members": [[[0, 1]]]}
+        ))
+        code, stdout, _ = run(capsys, "hgen", "verify", str(path))
+        assert code == 0
+        assert '"max_offdiag_inner": 0.0' in stdout
+        assert json.loads(stdout)["max_modulated"] == 0.0
+
     @pytest.mark.parametrize("kind, n", [("dft", 9), ("bjorck", 7)])
     def test_file_bytes_equal_stdout(self, tmp_path, capsys, kind, n):
         # one rational and one float family; json's indented text is the reference
@@ -322,6 +333,19 @@ class TestFailClosedLoading:
     @pytest.mark.parametrize("bad", ["square_nan", "truncated", "non_square"])
     def test_hgen_verify_refuses_bad_matrix(self, files, capsys, bad):
         assert run(capsys, "hgen", "verify", str(files[bad]))[0] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--set", "{deep}", "--meta", "{meta}"],
+        ["verify", "--set", "{good}", "--meta", "{deep}"],
+        ["hgen", "verify", "{deep}"],
+    ])
+    def test_deeply_nested_json_is_refused(self, files, capsys, tmp_path, argv):
+        # deeper than json's decoder recurses: a RecursionError inside it
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        paths = {"deep": deep, "good": files["good"], "meta": files["meta"]}
+        code, stdout, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert (code, stdout) == (3, "") and err.startswith("error:")
 
     @pytest.mark.parametrize("bad", ["nan", "truncated"])
     def test_af_refuses_bad_set(self, files, capsys, bad):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lazforge import (
+    HReport,
     PreconditionError,
     SequenceSet,
     bjorck_shifts,
@@ -18,7 +19,6 @@ from lazforge import (
     verify_h_constraints,
 )
 from lazforge.ambiguity import eps
-from lazforge.hgen import INNER_TOL, MODULATED_MARGIN
 
 from helpers import entries
 
@@ -173,7 +173,7 @@ class TestVerifier:
         h = make_hmatrix(kind, order)
         whole = verify_h_constraints(h)
         for entries_per_block in (1, 3 * order + 1, 4 * order * order):
-            monkeypatch.setattr("lazforge.hgen.SCAN_BLOCK_ENTRIES", entries_per_block)
+            monkeypatch.setattr("lazforge.ambiguity.SCAN_BLOCK_ENTRIES", entries_per_block)
             assert verify_h_constraints(h) == whole
 
     @given(square_sets())
@@ -190,7 +190,7 @@ class TestVerifier:
         rep = verify_h_constraints(h)
         assert abs(rep.max_offdiag_inner - max_inner) <= 1e-9
         assert abs(rep.max_modulated - max_mod) <= 1e-9
-        assert rep.passed == (max_inner <= 1 + INNER_TOL and max_mod <= n - MODULATED_MARGIN)
+        assert rep.passed == (max_inner <= 1 + eps(n) and max_mod < n - eps(n))
         i, j = rep.inner_witness
         assert i < j and abs(inner[i, j] - rep.max_offdiag_inner) <= 1e-9
         i, j, v = rep.modulated_witness
@@ -217,6 +217,11 @@ class TestVerifier:
         v = int(np.argmax(modulated[i, j] >= max_mod - band))
         assert rep.modulated_witness == (i, j, v)
 
+    def test_one_by_one_has_no_pair(self):
+        # no pair i < j: both maxima are 0 and there is no witness
+        for h in (SequenceSet([[0]], 1), SequenceSet([[1.5]])):
+            assert verify_h_constraints(h) == HReport(0.0, 0.0, True, None, None)
+
     def test_from_set_requires_square(self, set_7_7):
         with pytest.raises(PreconditionError):
             verify_h_constraints(set_7_7)
@@ -225,7 +230,7 @@ class TestVerifier:
 class TestSupportedOrders:
     def test_listings(self):
         assert supported_orders("legendre", 30) == [3, 7, 11, 19, 23]
-        assert supported_orders("mseq", 127) == [2, 3, 4, 5, 6, 7]
+        assert supported_orders("mseq", 127) == [3, 7, 15, 31, 63, 127]
         assert supported_orders("bjorck", 20) == [7, 11, 13, 17, 19]
         assert supported_orders("dft", 5) == [2, 3, 4, 5]
         with pytest.raises(PreconditionError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lazforge.verify
+import lazforge.ambiguity
 from lazforge import (
     LazParams,
     PreconditionError,
@@ -197,7 +197,7 @@ class TestCyclicDistinct:
     def test_matches_brute_force(self, s):
         want = brute_force_witness(s)
         assert cyclic_distinct(s).witness == want
-        with mock.patch.object(lazforge.verify, "SCAN_BLOCK_ENTRIES", 2 * s.length):  # 2 pairs a block
+        with mock.patch.object(lazforge.ambiguity, "SCAN_BLOCK_ENTRIES", 2 * s.length):  # 2 pairs a block
             assert cyclic_distinct(s).witness == want
 
 

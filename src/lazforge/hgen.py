@@ -8,7 +8,10 @@ A companion matrix must satisfy, for all row pairs i != j and 0 <= v < N:
 
 Both read the zero-delay Doppler cut |AF_ij(0, v)| of the row pair's
 periodic AF, the inner product at v = 0, and are symmetric in (i, j): the
-verifier scans the pairs i < j through ambiguity's batched kernel.
+verifier scans the pairs i < j through ambiguity's batched kernel.  When
+each row is the one before it rotated by one fixed step plus one fixed
+phase row, as in every family below, that cut depends on j - i alone and
+the pairs (0, d) stand for all of them.
 
 Four families are provided: columns of a DFT matrix one size up, and cyclic
 shifts of Legendre, m-, and Björck sequences.  The verifier is authoritative;
@@ -53,11 +56,26 @@ def verify_h_constraints(h: SequenceSet) -> HReport:
     the maximum, and the modulated witness's v the first within that band on
     its pair (one more transform), so round-off cannot move a witness.  A
     1 x 1 set has no pair: both maxima are 0, with no witness.
+
+    Step-structured sets scan N - 1 pairs, not N(N-1)/2.  If row i + 1 of
+    the phase array is row i rotated left by s in {0, 1} plus one row Delta
+    fixed for every i (exact integers mod D for a rational set; Delta = 0 by
+    exact equality for float angles, as no tolerance enters), then
+    h_{i+1}(t) h_{j+1}*(t) = h_i(t+s) h_j*(t+s): the product row of (i+1,
+    j+1) is that of (i, j) rotated by s, which multiplies AF(0, v) by
+    w_N^{-vs}.  So every pair (i, j) has the exact magnitudes of (0, j - i),
+    and only the pairs (0, d), d = 1..N-1, are scanned.  The bound holds as
+    each of them is computed by the same kernel call, and the witnesses are
+    unchanged: the pairs (0, d) come first in lexicographic order, so the
+    first pair within the band is one of them.  Only the round-off of a
+    maximum can change, within the band: the Björck families print the
+    round-off of an inner product that is exactly 0 (1.33e-15 became
+    8.88e-16 at order 11).
     """
     n = h.size
     if h.length != n:
         raise PreconditionError(f"companion matrix must be square, got {n} x {h.length}")
-    ii, jj = np.triu_indices(n, 1)
+    ii, jj = _pairs_to_scan(h)
     inner, mod_max = np.empty((2, len(ii)))
     for lo, _, block in _af_blocks(h.matrix, ii, jj, [0], "periodic"):
         modulated = np.abs(block)  # v runs along axis 1
@@ -76,6 +94,21 @@ def verify_h_constraints(h: SequenceSet) -> HReport:
         inner_witness = (int(ii[p]), int(jj[p]))
         modulated_witness = (i, j, _first_at_least(row, max_mod - band))
     return HReport(max_inner, max_mod, passed, inner_witness, modulated_witness)
+
+
+def _pairs_to_scan(h: SequenceSet) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (0, d) when h's rows are one step apart (see
+    verify_h_constraints), else every pair i < j, both lexicographic."""
+    p, d, n = h.phases, h.denominator, h.size
+    for s in (0, 1):
+        step = p[1:] - np.roll(p[:-1], -s, axis=1)
+        if d is not None:
+            step %= d
+        elif step.any():  # float angles qualify with Delta = 0 only
+            continue
+        if np.all(step == step[:1]):  # also for N < 3: one step row, or none
+            return np.zeros(n - 1, dtype=np.intp), np.arange(1, n)
+    return np.triu_indices(n, 1)
 
 
 def _shift_rows(row0, denominator: int | None = None) -> SequenceSet:

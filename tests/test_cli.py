@@ -347,6 +347,29 @@ class TestFailClosedLoading:
         code, stdout, err = run(capsys, *(a.format(**paths) for a in argv))
         assert (code, stdout) == (3, "") and err.startswith("error:")
 
+    @pytest.mark.parametrize("argv,over", [
+        (["verify", "--set", "{good}", "--meta", "{meta}"], "good"),
+        (["verify", "--set", "{good}", "--meta", "{padded}"], "padded"),
+        (["hgen", "verify", "{companion}"], "companion"),
+    ])
+    def test_oversize_file_is_refused(self, files, capsys, tmp_path, monkeypatch, argv, over):
+        # the cap lowered to one byte below the file named by over, every
+        # other file of the command being smaller; at its size the file loads
+        padded = tmp_path / "padded.meta.json"  # the meta file, longer than the set
+        padded.write_text(files["meta"].read_text() + " " * files["good"].stat().st_size)
+        companion = tmp_path / "h.json"
+        assert run(capsys, "hgen", "--kind", "legendre", "--n", "7", "-o", str(companion))[0] == 0
+        paths = {"good": files["good"], "meta": files["meta"], "padded": padded,
+                 "companion": companion}
+        argv = [a.format(**paths) for a in argv]
+        size = paths[over].stat().st_size
+        monkeypatch.setattr("lazforge.seqcore.MAX_FILE_BYTES", size - 1)
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (3, "") and err.startswith("error:")
+        assert str(paths[over]) in err and f"{size} bytes" in err
+        monkeypatch.setattr("lazforge.seqcore.MAX_FILE_BYTES", size)
+        assert run(capsys, *argv)[0] == 0
+
     @pytest.mark.parametrize("bad", ["nan", "truncated"])
     def test_af_refuses_bad_set(self, files, capsys, bad):
         code, _, _ = run(

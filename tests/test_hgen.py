@@ -18,7 +18,9 @@ from lazforge import (
     supported_orders,
     verify_h_constraints,
 )
-from lazforge.ambiguity import eps
+from lazforge.ambiguity import _af_blocks, _first_at_least, eps
+from lazforge.hgen import _pairs_to_scan
+from lazforge.numth import is_prime
 
 from helpers import entries
 
@@ -35,16 +37,55 @@ def is_row_shifts(h):
 @st.composite
 def square_sets(draw):
     """N x N sets, N in 2..12: rational rows over denominators up to 12, or
-    float angles."""
+    float angles.  Or rows one step apart, which the verifier scans as the
+    pairs (0, d): row 0 drawn, and row i + 1 row i rotated left by s in
+    {0, 1} plus a drawn step row (0 for float angles); and those with one
+    entry of a row k >= 2 redrawn, where the reduction must not apply."""
     n = draw(st.integers(2, 12))
     if draw(st.booleans()):
         dens = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
         d = math.lcm(*dens)
+        entry = st.integers(0, d - 1)
         rows = [np.multiply(draw(st.lists(st.integers(0, den - 1), min_size=n, max_size=n)),
                             d // den) for den in dens]
-        return SequenceSet(rows, d)
-    angle = st.floats(0, 2 * math.pi, exclude_max=True)
-    return SequenceSet([draw(st.lists(angle, min_size=n, max_size=n)) for _ in range(n)])
+    else:
+        d, entry = None, st.floats(0, 2 * math.pi, exclude_max=True)
+        rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        s = draw(st.integers(0, 1))
+        step = draw(st.lists(entry, min_size=n, max_size=n)) if d else np.zeros(n)
+        rows = [np.asarray(rows[0])]
+        for _ in range(n - 1):
+            rows.append(np.roll(rows[-1], -s) + step)
+        if n >= 3 and draw(st.booleans()):
+            k, t = draw(st.integers(2, n - 1)), draw(st.integers(0, n - 1))
+            rows[k] = rows[k].copy()
+            rows[k][t] = draw(entry)
+    return SequenceSet(rows, d)
+
+
+def all_pairs_report(h):
+    """The verifier's report from every pair i < j, with no step reduction."""
+    n = h.size
+    ii, jj = np.triu_indices(n, 1)
+    mags = np.vstack([np.abs(b) for _, _, b in _af_blocks(h.matrix, ii, jj, [0], "periodic")])
+    inner, modulated = mags[:, 0], mags.max(axis=1)
+    max_inner, max_mod, band = inner.max(), modulated.max(), 2 * eps(n)
+    p = _first_at_least(inner, max_inner - band)
+    q = _first_at_least(modulated, max_mod - band)
+    v = _first_at_least(mags[q], max_mod - band)
+    passed = max_inner <= 1 + eps(n) and max_mod < n - eps(n)
+    return HReport(max_inner, max_mod, passed, (ii[p], jj[p]), (ii[q], jj[q], v))
+
+
+def family_orders(kind, limit=127):
+    """Every order through limit that a family generates: all for DFT,
+    2^m - 1 for m-sequences, odd primes for Legendre and Björck."""
+    if kind == "dft":
+        return range(2, limit + 1)
+    if kind == "mseq":
+        return supported_orders("mseq", limit)
+    return [p for p in range(3, limit + 1) if is_prime(p)]
 
 
 class TestDftSubmatrix:
@@ -216,6 +257,31 @@ class TestVerifier:
         i, j = next(p for p in pairs if modulated[p].max() >= max_mod - band)
         v = int(np.argmax(modulated[i, j] >= max_mod - band))
         assert rep.modulated_witness == (i, j, v)
+
+    @pytest.mark.parametrize("kind", ["dft", "legendre", "mseq", "bjorck"])
+    def test_matches_all_pairs_scan(self, kind):
+        # every family's rows are one step apart, so the verifier scans the
+        # N - 1 pairs (0, d); 192 matrices in all, 16 of them failing
+        for n in family_orders(kind):
+            h = make_hmatrix(kind, n)
+            assert len(_pairs_to_scan(h)[0]) == n - 1
+            rep, ref = verify_h_constraints(h), all_pairs_report(h)
+            assert rep.passed == ref.passed
+            assert (rep.inner_witness, rep.modulated_witness) == (
+                ref.inner_witness, ref.modulated_witness)
+            assert abs(rep.max_offdiag_inner - ref.max_offdiag_inner) <= 2 * eps(n)
+            assert abs(rep.max_modulated - ref.max_modulated) <= 2 * eps(n)
+
+    def test_last_row_out_of_step_is_scanned(self):
+        # rows 0..5 are one step apart and row 6 breaks the step: a check
+        # that stops short of the last row would scan (0, d) alone and pass
+        phases = np.array(legendre_shifts(7).phases)
+        phases[6] = phases[5]
+        h = SequenceSet(phases, 2)
+        assert len(_pairs_to_scan(h)[0]) == 21
+        rep = verify_h_constraints(h)
+        assert not rep.passed and rep.inner_witness == (5, 6)
+        assert abs(rep.max_offdiag_inner - 7) < 1e-12
 
     def test_one_by_one_has_no_pair(self):
         # no pair i < j: both maxima are 0 and there is no witness

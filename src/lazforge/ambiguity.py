@@ -24,7 +24,10 @@ import numpy as np
 
 from .errors import PreconditionError
 from .lpnf import ZFunc
-from .seqcore import SCAN_BLOCK_ENTRIES, SequenceSet, Zone, check_kind
+from .seqcore import SequenceSet, Zone, check_kind
+
+# complex entries (16 bytes each) per _af_blocks block; caps its scratch memory
+SCAN_BLOCK_ENTRIES = 2**16
 
 
 def eps(length: int) -> float:

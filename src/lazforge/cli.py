@@ -3,7 +3,8 @@
 Subcommands: gen, hgen, lpnf, af, bounds, tables, verify.  Exit codes:
 0 success/pass, 1 verification fail, 2 usage error, 3 precondition error.
 Bad input never exits 0 or 1: an argument that does not parse is a usage
-error; a malformed or non-finite set, meta file, size, theta or budget is a
+error; a malformed or non-finite set, meta file, size, theta or budget, an
+output path that cannot be written, or a request too large for memory is a
 precondition error.  One pass rounds every float in the JSON reports of
 verify, bounds and hgen verify to 9 significant digits, and af writes its
 CSV at 9 digits, so identical inputs produce byte-identical output.  The set and meta files that gen and hgen write are
@@ -42,6 +43,7 @@ from .seqcore import (
     load_sequence_set,
     read_json,
     save_sequence_set,
+    write_text,
 )
 from .verify import certify_laz, cyclic_distinct, empirical_zone, reproduce_table
 
@@ -59,7 +61,7 @@ def _round9(value):
 
 def _write(text: str, path: str | None = None) -> None:
     if path:
-        Path(path).write_text(text)
+        write_text(path, text)
     else:
         sys.stdout.write(text)
 
@@ -140,7 +142,7 @@ def _cmd_lpnf(args) -> int:
         for a_step in range(1, f.domain_size):
             for x, d in enumerate(diff_table(f, a_step)):
                 lines.append(f"{a_step},{x},{d}")
-        Path(args.diff_csv).write_text("\n".join(lines) + "\n")
+        _write("\n".join(lines) + "\n", args.diff_csv)
     return 0
 
 
@@ -291,8 +293,8 @@ def main(argv=None) -> int:
         return int(e.code) if e.code else 0
     try:
         return args.func(args)
-    except PreconditionError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (PreconditionError, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -37,10 +37,6 @@ MAX_DENOMINATOR = 2**31
 # about 2 GB, and the largest paper-size set (127x32385) still loads
 MAX_FILE_BYTES = 2**28
 
-# complex entries (16 bytes each) per block of the exhaustive ambiguity and
-# companion-matrix scans; bounds their scratch memory whatever the set size
-SCAN_BLOCK_ENTRIES = 2**16
-
 KINDS = ("periodic", "aperiodic")
 
 
@@ -243,8 +239,15 @@ def format_sequence_set(s: SequenceSet) -> str:
     return f'{header},\n  "members": [\n{members}\n  ]\n}}\n'
 
 
+def write_text(path: str | Path, text: str) -> None:
+    try:  # a missing directory is a PreconditionError, as in read_json
+        Path(path).write_text(text)
+    except OSError as e:
+        raise PreconditionError(f"cannot write {path}: {e.strerror or e}") from None
+
+
 def save_sequence_set(s: SequenceSet, path: str | Path) -> None:
-    Path(path).write_text(format_sequence_set(s))
+    write_text(path, format_sequence_set(s))
 
 
 def load_sequence_set(path: str | Path) -> SequenceSet:

@@ -12,7 +12,7 @@ from .ambiguity import AFWitness, _af_blocks, eps, theta_max
 from .bounds import BoundReport, optimality_factor
 from .construct import LazParams
 from .errors import PreconditionError
-from .seqcore import FLOAT_PHASE_TOL, SCAN_BLOCK_ENTRIES, TWO_PI, SequenceSet, check_kind
+from .seqcore import FLOAT_PHASE_TOL, TWO_PI, SequenceSet, check_kind
 from .tables import TABLES, ReferenceTable, TableRow
 
 TABLE_RHO_TOL = 1e-5
@@ -121,15 +121,13 @@ def empirical_zone(
     (minus the origin for auto surfaces) stays within the budget plus
     eps(L), in ascending Z_x and descending Z_y.
 
-    Scans |tau| = 0, 1, 2, ... outward, keeping the widest clean |v| of the
-    rows so far.  Row |tau| is the max |AF| over unordered pairs i <= j at
-    delays tau and -tau, folded over v and -v (|AF_ab(-tau, -v)| =
-    |AF_ba(tau, v)|).  Every rectangle needs its rows |tau| < Z_x clean at
-    v = 0, so the scan returns at the first row whose v = 0 entry is over
-    the budget; periodic rows |tau| and L - |tau| are equal, so that scan
-    ends at L // 2.  Rows are computed in chunks that at most double the
-    delays scanned so far and hold at most SCAN_BLOCK_ENTRIES floats (one
-    row when L is larger).
+    Scans |tau| = 0, 1, 2, ... outward, one `_af_blocks` call per delay
+    pair {tau, -tau}, keeping the widest clean |v| of the rows so far.  Row
+    |tau| is the max |AF| over unordered pairs i <= j at delays tau and -tau,
+    folded over v and -v (|AF_ab(-tau, -v)| = |AF_ba(tau, v)|).  Every
+    rectangle needs its rows |tau| < Z_x clean at v = 0, so the scan returns
+    at the first row whose v = 0 entry is over the budget; periodic rows
+    |tau| and L - |tau| are equal, so that scan ends at L // 2.
     """
     check_kind(kind)
     if not (math.isfinite(theta_budget) and theta_budget >= 0):
@@ -138,31 +136,24 @@ def empirical_zone(
     thr = theta_budget + eps(n)
     ii, jj = np.triu_indices(s.size)
     stop = n // 2 + 1 if kind == "periodic" else n
-    cap = max(1, SCAN_BLOCK_ENTRIES // n)
     rects: list[tuple[int, int]] = []
     z_y = n  # widest clean |v| over the rows scanned so far
-    x0 = 0
-    while x0 < stop:
-        x1 = min(stop, 2 * x0 + 1, x0 + cap)
-        taus = [tau for x in range(x0, x1) for tau in sorted({x, -x})]
-        rows = np.zeros((x1 - x0, n))
-        for lo, r, block in _af_blocks(s.matrix, ii, jj, taus, kind):
+    for x in range(stop):
+        row = np.zeros(n)
+        for lo, _, block in _af_blocks(s.matrix, ii, jj, sorted({x, -x}), kind):
             mags = np.abs(block)
-            if taus[r] == 0:
+            if not x:
                 p = slice(lo, lo + len(mags))
                 mags[ii[p] == jj[p], 0] = 0.0  # exclude the auto origin
-            row = rows[abs(taus[r]) - x0]
             np.maximum(row, mags.max(axis=0), out=row)
-        rows = np.maximum(rows, np.roll(rows[:, ::-1], 1, axis=1))  # fold v and -v
-        for x, clean in enumerate(rows <= thr, x0):
-            width = n if clean.all() else int(np.argmin(clean))
-            if width < z_y:
-                if x:
-                    rects.append((x, z_y))
-                z_y = width
-            if not z_y:
-                return rects
-        x0 = x1
+        clean = np.maximum(row, np.roll(row[::-1], 1)) <= thr  # fold v and -v
+        width = n if clean.all() else int(np.argmin(clean))
+        if width < z_y:
+            if x:
+                rects.append((x, z_y))
+            z_y = width
+        if not z_y:
+            return rects
     rects.append((n, z_y))
     return rects
 

@@ -235,8 +235,9 @@ class TestDeterminism:
 
 
 class TestFailClosedLoading:
-    """Unreadable or non-finite inputs are precondition errors (exit 3): never
-    a pass, and never a traceback that reads as a failed verification."""
+    """Unreadable or non-finite inputs, unwritable outputs and requests too
+    large for memory are precondition errors (exit 3): never a pass, and
+    never a traceback that reads as a failed verification."""
 
     @pytest.fixture
     def files(self, tmp_path, capsys):
@@ -377,6 +378,30 @@ class TestFailClosedLoading:
             "--kind", "periodic", "--zx", "2", "--zy", "2",
         )
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "7", "--k", "7", "-o", "{out}"],
+        ["hgen", "--kind", "dft", "--n", "7", "-o", "{out}"],
+        ["lpnf", "--n", "5", "--k", "8", "--zx", "5", "--zy", "4", "--diff-csv", "{out}"],
+        ["af", "--set", "{good}", "--kind", "periodic", "--zx", "2", "--zy", "2", "-o", "{out}"],
+    ], ids=["gen", "hgen", "lpnf", "af"])
+    def test_unwritable_output_is_refused(self, files, capsys, tmp_path, argv):
+        out = tmp_path / "nosuchdir" / "out"
+        code, _, err = run(capsys, *(a.format(out=out, good=files["good"]) for a in argv))
+        assert code == 3 and err.startswith(f"error: cannot write {out}")
+
+    @pytest.mark.parametrize("message,err", [
+        ("Unable to allocate 596. GiB for an array", "error: Unable to allocate 596. GiB for an array\n"),
+        ("", "error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_is_refused(self, capsys, monkeypatch, message, err):
+        # an over-large request runs out of memory in numpy; raised here
+        # instead of allocated
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("lazforge.cli.make_hmatrix", exhausted)
+        assert run(capsys, "hgen", "--kind", "dft", "--n", "200000") == (3, "", err)
 
 
 class TestNumericArguments:

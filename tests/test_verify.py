@@ -235,10 +235,14 @@ def direct_rectangles(s, budgets, kind):
 
 class TestEmpiricalZone:
     @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
-    @pytest.mark.parametrize("shape", ["5x25", "7x49", "random 5x25", "random 4x24"])
-    def test_matches_direct_sum_grid(self, shape, kind, set_7_7):
-        if shape == "7x49":
+    @pytest.mark.parametrize(
+        "shape", ["5x25", "7x49", "7x49 in 3-pair blocks", "random 5x25", "random 4x24"]
+    )
+    def test_matches_direct_sum_grid(self, monkeypatch, shape, kind, set_7_7):
+        if shape.startswith("7x49"):
             s, k = set_7_7, 7
+            if shape.endswith("blocks"):  # each delay's 28 pairs span 10 blocks
+                monkeypatch.setattr("lazforge.ambiguity.SCAN_BLOCK_ENTRIES", 3 * s.length)
         elif shape == "5x25":
             s, k = build_laz_set(quad_lpnf(5, 2, 1, 5), dft_submatrix(5)), 5
         else:  # no zone structure, so the fronts have many corners
@@ -282,8 +286,10 @@ class TestEmpiricalZone:
         monkeypatch.setattr("lazforge.verify._af_blocks", recording)
         s = build_laz_set(quad_lpnf(n, 1, 0, k), make_hmatrix(h, n))
         rects = empirical_zone(s, predicted_params(n, k, kind).theta, kind)
-        # chunks at most double the delays scanned, never the whole length
-        assert max(map(abs, requested)) <= 2 * rects[-1][0] < s.length
+        # each delay up to the stopping row once, in order, and none past it
+        x_stop = rects[-1][0]
+        assert x_stop < s.length
+        assert requested == [0] + [tau for x in range(1, x_stop + 1) for tau in (-x, x)]
 
     def test_negative_budget_rejected(self, set_7_7):
         with pytest.raises(PreconditionError):

@@ -200,6 +200,8 @@ def _cmd_verify(args) -> int:
     out = {"certificates": [], "all_pass": True}
     for kind in kinds:
         params = LazParams.from_dict(meta.get(kind) if isinstance(meta, dict) else None)
+        if params.kind != kind:  # else a copied entry would certify the wrong claim
+            raise PreconditionError(f"meta entry {kind!r} claims kind {params.kind!r}")
         cert = certify_laz(s, params, distinct=distinct)
         out["certificates"].append(cert.to_dict())
         out["all_pass"] &= cert.passed and cert.cyclically_distinct

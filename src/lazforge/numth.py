@@ -11,16 +11,7 @@ from .errors import PreconditionError
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and smallest_prime_factor(n) == n
 
 
 def smallest_prime_factor(n: int) -> int:

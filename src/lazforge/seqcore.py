@@ -23,11 +23,6 @@ from .errors import PreconditionError
 
 TWO_PI = 2.0 * math.pi
 
-# per-entry comparison tolerance for float-angle phases: far above the round-off
-# of a difference of two folded angles (a few 2*pi * 2**-53, about 1e-15), far
-# below the phase steps that tell members of a constructed set apart
-FLOAT_PHASE_TOL = 1e-9
-
 # largest common denominator of a set file; keeps numerator products in int64
 MAX_DENOMINATOR = 2**31
 
@@ -152,17 +147,10 @@ class Zone:
 #   "members": [[ [num,den] | angle, ... ], ...] }
 #
 # Rational mode round-trips bit-exactly; float mode stores radian angles.
+# format_sequence_set writes each rational entry k/D as its reduced fraction
+# and each angle as its repr, straight from the phase array; the reader takes
+# any fraction with a positive denominator.
 # ---------------------------------------------------------------------------
-
-
-def sequence_set_to_dict(s: SequenceSet) -> dict:
-    phases, d = s.phases, s.denominator
-    if d is None:
-        mode, members = "float", phases.tolist()
-    else:
-        g = np.gcd(phases, d)  # each entry is written as a reduced fraction
-        mode, members = "rational", np.stack((phases // g, d // g), axis=-1).tolist()
-    return {"length": s.length, "size": s.size, "phase_mode": mode, "members": members}
 
 
 def sequence_set_from_dict(d: dict) -> SequenceSet:
@@ -221,22 +209,26 @@ def read_json(path: str | Path):
 
 
 def format_sequence_set(s: SequenceSet) -> str:
-    """s in the format above, byte for byte the text of
-    json.dumps(sequence_set_to_dict(s), indent=2) + "\\n".
+    """s in the format above, byte for byte the text of json.dumps(d,
+    indent=2) + "\\n" for the set's dict d, each rational entry written as
+    its reduced fraction.
 
     Python's json encodes in C only when indent is None, and its pure-Python
-    indenter takes several times longer than formatting the members with one
-    format string, as here.  repr is json's float format.
+    indenter takes several times longer than filling one format string with
+    the phase array's values, flattened into one list, as here.  repr is
+    json's float format.
     """
-    d = sequence_set_to_dict(s)
-    rows = d.pop("members")
-    entry = "      %r"
-    if d["phase_mode"] == "rational":
-        entry, rows = "      [\n        %d,\n        %d\n      ]", chain.from_iterable(rows)
+    phases, d = s.phases, s.denominator
+    if d is None:
+        mode, entry, values = "float", "      %r", phases.ravel().tolist()
+    else:
+        g = np.gcd(phases, d)
+        mode, entry = "rational", "      [\n        %d,\n        %d\n      ]"
+        values = np.stack((phases // g, d // g), -1).ravel().tolist()
     row = "    [\n" + ",\n".join([entry] * s.length) + "\n    ]"
-    members = ",\n".join([row] * s.size) % tuple(chain.from_iterable(rows))
-    header = json.dumps(d, indent=2)[:-2]  # without the closing "\n}"
-    return f'{header},\n  "members": [\n{members}\n  ]\n}}\n'
+    members = ",\n".join([row] * s.size) % tuple(values)
+    header = json.dumps({"length": s.length, "size": s.size, "phase_mode": mode}, indent=2)
+    return f'{header[:-2]},\n  "members": [\n{members}\n  ]\n}}\n'  # header without "\n}"
 
 
 def write_text(path: str | Path, text: str) -> None:

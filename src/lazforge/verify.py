@@ -12,10 +12,15 @@ from .ambiguity import AFWitness, _af_blocks, eps, theta_max
 from .bounds import BoundReport, optimality_factor
 from .construct import LazParams
 from .errors import PreconditionError
-from .seqcore import FLOAT_PHASE_TOL, TWO_PI, SequenceSet, check_kind
+from .seqcore import TWO_PI, SequenceSet, check_kind
 from .tables import TABLES, ReferenceTable, TableRow
 
 TABLE_RHO_TOL = 1e-5
+
+# per-entry comparison tolerance for float-angle phases: far above the round-off
+# of a difference of two folded angles (a few 2*pi * 2**-53, about 1e-15), far
+# below the phase steps that tell members of a constructed set apart
+FLOAT_PHASE_TOL = 1e-9
 
 
 @dataclass(frozen=True)

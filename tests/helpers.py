@@ -1,8 +1,10 @@
 """Helpers shared by the test modules."""
 
+import json
 from fractions import Fraction
 
-from lazforge import Zone, af_grid, aperiodic_af, periodic_af
+from lazforge import Zone, af_grid, aperiodic_af, periodic_af, supported_orders
+from lazforge.numth import is_prime
 
 # the direct-sum AF of each kind, the oracle for the batched kernel
 DIRECT = {"periodic": periodic_af, "aperiodic": aperiodic_af}
@@ -28,6 +30,30 @@ ACCEPTANCE_CONFIGS = [
 ]
 
 
+def family_orders(kind, limit=127):
+    """Every order through limit that a family generates: all for DFT,
+    2^m - 1 for m-sequences, odd primes for Legendre and Björck."""
+    if kind == "dft":
+        return range(2, limit + 1)
+    if kind == "mseq":
+        return supported_orders("mseq", limit)
+    return [p for p in range(3, limit + 1) if is_prime(p)]
+
+
 def entries(s, i):
     """Row i of a rational set, each entry as a reduced Fraction of a turn."""
     return tuple(Fraction(int(k), s.denominator) for k in s.phases[i])
+
+
+def set_file_text(s):
+    """The reference text of s's set file, independent of the writer: json's
+    indented text of the set's dict, built entry by entry, each rational entry
+    as the [numerator, denominator] of its Fraction from `entries`, each float
+    entry as its angle."""
+    if s.denominator is None:
+        mode, members = "float", [[float(a) for a in s.phases[i]] for i in range(s.size)]
+    else:
+        mode = "rational"
+        members = [[[x.numerator, x.denominator] for x in entries(s, i)] for i in range(s.size)]
+    d = {"length": s.length, "size": s.size, "phase_mode": mode, "members": members}
+    return json.dumps(d, indent=2) + "\n"

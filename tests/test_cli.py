@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from lazforge import make_hmatrix
 from lazforge.cli import main
-from lazforge.seqcore import sequence_set_to_dict
+
+from helpers import set_file_text
 
 
 def run(capsys, *argv):
@@ -164,12 +165,12 @@ class TestHgen:
 
     @pytest.mark.parametrize("kind, n", [("dft", 9), ("bjorck", 7)])
     def test_file_bytes_equal_stdout(self, tmp_path, capsys, kind, n):
-        # one rational and one float family; json's indented text is the reference
+        # one rational and one float family; the entry-by-entry text is the reference
         out = tmp_path / "h.json"
         assert run(capsys, "hgen", "--kind", kind, "--n", str(n), "-o", str(out)) == (0, "", "")
         code, stdout, _ = run(capsys, "hgen", "--kind", kind, "--n", str(n))
         assert code == 0 and out.read_bytes() == stdout.encode()
-        assert stdout == json.dumps(sequence_set_to_dict(make_hmatrix(kind, n)), indent=2) + "\n"
+        assert stdout == set_file_text(make_hmatrix(kind, n))
 
 
 class TestAfCsv:
@@ -315,6 +316,24 @@ class TestFailClosedLoading:
             capsys, "verify", "--set", str(files["good"]), "--meta", str(path)
         )
         assert (code, stdout) == (3, "") and err.startswith("error:")
+
+    @pytest.mark.parametrize("kind, slot", [
+        ("both", "periodic"), ("both", "aperiodic"),
+        ("periodic", "periodic"), ("aperiodic", "aperiodic"),
+    ])
+    def test_verify_refuses_meta_entry_of_the_other_kind(self, files, capsys, tmp_path,
+                                                          kind, slot):
+        # a slot holding a copy of the other kind's entry: certifying that
+        # copy would report a pass for a claim that was never checked
+        meta = json.loads(files["meta"].read_text())
+        meta[slot] = meta["aperiodic" if slot == "periodic" else "periodic"]
+        path = tmp_path / "copied.meta.json"
+        path.write_text(json.dumps(meta))
+        code, stdout, err = run(
+            capsys, "verify", "--set", str(files["good"]), "--meta", str(path), "--kind", kind
+        )
+        assert (code, stdout) == (3, "") and err.startswith("error:")
+        assert f"meta entry '{slot}' claims kind" in err
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--set", "{missing}"],

@@ -28,7 +28,7 @@ from lazforge import (
 )
 from lazforge.cli import main
 from lazforge.hgen import GENERATORS
-from lazforge.seqcore import sequence_set_from_dict, sequence_set_to_dict
+from lazforge.seqcore import format_sequence_set, sequence_set_from_dict
 
 from helpers import entries
 
@@ -125,7 +125,7 @@ class TestFactorInterleaved:
         s = build_laz_set(f, h)
         assert factor_interleaved(s) == (f, h)
         assert build_laz_set(*factor_interleaved(s)) == s
-        reloaded = sequence_set_from_dict(json.loads(json.dumps(sequence_set_to_dict(s))))
+        reloaded = sequence_set_from_dict(json.loads(format_sequence_set(s)))
         assert factor_interleaved(reloaded) == (f, h)
 
     @given(INTERLEAVED, st.data())

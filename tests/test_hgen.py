@@ -20,9 +20,8 @@ from lazforge import (
 )
 from lazforge.ambiguity import _af_blocks, _first_at_least, eps
 from lazforge.hgen import _pairs_to_scan
-from lazforge.numth import is_prime
 
-from helpers import entries
+from helpers import entries, family_orders
 
 
 def plusminus(h):
@@ -76,16 +75,6 @@ def all_pairs_report(h):
     v = _first_at_least(mags[q], max_mod - band)
     passed = max_inner <= 1 + eps(n) and max_mod < n - eps(n)
     return HReport(max_inner, max_mod, passed, (ii[p], jj[p]), (ii[q], jj[q], v))
-
-
-def family_orders(kind, limit=127):
-    """Every order through limit that a family generates: all for DFT,
-    2^m - 1 for m-sequences, odd primes for Legendre and Björck."""
-    if kind == "dft":
-        return range(2, limit + 1)
-    if kind == "mseq":
-        return supported_orders("mseq", limit)
-    return [p for p in range(3, limit + 1) if is_prime(p)]
 
 
 class TestDftSubmatrix:

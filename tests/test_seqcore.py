@@ -15,18 +15,22 @@ from lazforge import (
     SequenceSet,
     Zone,
     bjorck_shifts,
+    build_laz_set,
     cyclic_distinct,
     load_sequence_set,
+    make_hmatrix,
+    quad_lpnf,
 )
+from lazforge.hgen import GENERATORS
 from lazforge.seqcore import (
     MAX_DENOMINATOR,
     TWO_PI,
+    format_sequence_set,
     save_sequence_set,
     sequence_set_from_dict,
-    sequence_set_to_dict,
 )
 
-from helpers import entries
+from helpers import ACCEPTANCE_CONFIGS, entries, family_orders, set_file_text
 
 # a rational phase: the turns x of exp(2*pi*i*x), in [0, 1)
 rational_phases = st.builds(
@@ -72,8 +76,13 @@ def saved_bytes(s):
 
 
 def json_bytes(s):
-    """The reference text of a set file: the standard library's indented JSON."""
-    return (json.dumps(sequence_set_to_dict(s), indent=2) + "\n").encode()
+    """The reference bytes of a set file, built entry by entry."""
+    return set_file_text(s).encode()
+
+
+def set_dict(s):
+    """The dict of s's set file, as json reads it back."""
+    return json.loads(format_sequence_set(s))
 
 
 class TestEqualUpToShift:
@@ -124,9 +133,9 @@ class TestZone:
 
 class TestSetFormat:
     def test_rational_roundtrip_bit_exact(self, set_7_7):
-        d = sequence_set_to_dict(set_7_7)
+        d = set_dict(set_7_7)
         assert d["phase_mode"] == "rational"
-        back = sequence_set_from_dict(json.loads(json.dumps(d)))
+        back = sequence_set_from_dict(d)
         assert back == set_7_7
 
     @given(st.lists(st.lists(rational_phases, min_size=3, max_size=3), min_size=1, max_size=4)
@@ -147,14 +156,30 @@ class TestSetFormat:
 
     def test_float_mode_roundtrip(self):
         s = bjorck_shifts(7)
-        d = sequence_set_to_dict(s)
+        d = set_dict(s)
         assert d["phase_mode"] == "float"
-        back = sequence_set_from_dict(json.loads(json.dumps(d)))
+        back = sequence_set_from_dict(d)
         assert np.allclose(back.matrix, s.matrix, atol=1e-15)
         assert saved_bytes(s) == json_bytes(s)
 
+    @pytest.mark.parametrize("n, k, h_kind", ACCEPTANCE_CONFIGS)
+    def test_acceptance_set_bytes(self, n, k, h_kind):
+        s = build_laz_set(quad_lpnf(n, 1, 0, k), make_hmatrix(h_kind, n))
+        assert saved_bytes(s) == json_bytes(s)
+
+    @pytest.mark.parametrize("kind", GENERATORS)
+    def test_companion_bytes(self, kind):
+        # every order through 127; Björck matrices are the float sets
+        for n in family_orders(kind):
+            h = make_hmatrix(kind, n)
+            assert saved_bytes(h) == json_bytes(h), n
+
+    def test_one_entry_bytes(self):
+        for s in (SequenceSet([[0]], 1), SequenceSet([[3]], 4), SequenceSet([[0.25]])):
+            assert saved_bytes(s) == json_bytes(s)
+
     def test_declared_shape_checked(self):
-        d = sequence_set_to_dict(SequenceSet([[0]], 1))
+        d = set_dict(SequenceSet([[0]], 1))
         d["size"] = 5
         with pytest.raises(PreconditionError):
             sequence_set_from_dict(d)
@@ -255,11 +280,11 @@ class TestArrayPhases:
 
 
 def _valid_rational():
-    return sequence_set_to_dict(SequenceSet([[0, 1, 2]] * 2, 6))
+    return set_dict(SequenceSet([[0, 1, 2]] * 2, 6))
 
 
 def _valid_float():
-    return sequence_set_to_dict(SequenceSet([[0.5, 1.5, 2.5]] * 2))
+    return set_dict(SequenceSet([[0.5, 1.5, 2.5]] * 2))
 
 
 def _set_entry(d, value, row=0, col=1):
@@ -371,7 +396,7 @@ class TestSetFileValidation:
             s = sequence_set_from_dict(d)
         except PreconditionError:
             return
-        back = sequence_set_from_dict(json.loads(json.dumps(sequence_set_to_dict(s))))
+        back = sequence_set_from_dict(set_dict(s))
         assert back == s
-        assert sequence_set_to_dict(back) == sequence_set_to_dict(s)
+        assert set_dict(back) == set_dict(s)
         assert saved_bytes(s) == json_bytes(s)

@@ -29,7 +29,7 @@ from lazforge import (
     reproduce_table,
 )
 from lazforge.ambiguity import _af_blocks, eps
-from lazforge.seqcore import FLOAT_PHASE_TOL
+from lazforge.verify import FLOAT_PHASE_TOL
 
 
 class TestCertify:

@@ -2,13 +2,14 @@
 
 Subcommands: gen, hgen, lpnf, af, bounds, tables, verify.  Exit codes:
 0 success/pass, 1 verification fail, 2 usage error, 3 precondition error.
-Bad input never exits 0 or 1: an argument that does not parse is a usage
-error; a malformed or non-finite set, meta file, size, theta or budget, an
-output path that cannot be written, or a request too large for memory is a
-precondition error.  One pass rounds every float in the JSON reports of
-verify, bounds and hgen verify to 9 significant digits, and af writes its
-CSV at 9 digits, so identical inputs produce byte-identical output.  The set and meta files that gen and hgen write are
-input data and keep full precision.
+Bad input never exits 0 or 1: an argument that does not parse, or a flag
+the command would ignore, is a usage error; a malformed or non-finite set,
+meta file, size, theta or budget, an output path that cannot be written, or
+a request too large for memory is a precondition error.  One pass rounds
+every float in the JSON reports of verify, bounds and hgen verify to 9
+significant digits, and af writes its CSV at 9 digits, so identical inputs
+produce byte-identical output.  The set and meta files that gen and hgen
+write are input data and keep full precision.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ def _meta_path(out: str) -> Path:
 
 def _build_function(args):
     if args.power_map is not None:
+        if args.n is not None or args.k is not None:
+            args.usage_error("--n and --k do not apply with --power-map")
         p, alpha = args.power_map
         return power_lpnf(p, alpha), ("power", p, alpha)
     if args.n is None or args.k is None:
@@ -105,9 +108,9 @@ def _cmd_gen(args) -> int:
 def _cmd_hgen(args) -> int:
     if args.mode:
         if args.mode[0] != "verify" or len(args.mode) != 2:
-            print("usage: lazforge hgen [verify FILE] [--kind KIND --n N [-o FILE]]",
-                  file=sys.stderr)
-            return 2
+            args.usage_error("the only mode is 'verify FILE'")
+        if (args.kind, args.n, args.output) != (None, None, None):
+            args.usage_error("verify takes no --kind, --n or -o")
         h = load_sequence_set(args.mode[1])
         report = verify_h_constraints(h)
         out = {
@@ -121,15 +124,16 @@ def _cmd_hgen(args) -> int:
         _json_out(_round9(out))
         return 0 if report.passed else 1
     if args.kind is None or args.n is None:
-        print("error: --kind and --n are required to generate", file=sys.stderr)
-        return 2
+        args.usage_error("--kind and --n are required to generate")
     _write(format_sequence_set(make_hmatrix(args.kind, args.n)), args.output)
     return 0
 
 
 def _cmd_lpnf(args) -> int:
+    if (args.zx is None) != (args.zy is None):
+        args.usage_error("--zx and --zy go together")
     f, family = _build_function(args)
-    if args.zx is not None and args.zy is not None:
+    if args.zx is not None:
         zone = Zone(args.zx, args.zy)
     elif family[0] == "quad":
         zone = lpnf_zone_for(family[1], family[2])
@@ -240,7 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output set JSON path")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("hgen", help="generate or verify a companion matrix")
+    p = sub.add_parser(
+        "hgen",
+        help="generate or verify a companion matrix",
+        usage="%(prog)s verify FILE | %(prog)s --kind KIND --n N [-o FILE]",
+    )
     p.add_argument("mode", nargs="*", help="'verify FILE' to check an existing matrix")
     p.add_argument("--kind", choices=GENERATORS)
     p.add_argument("--n", type=int, help="matrix order")
@@ -284,6 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--empirical-budget", type=float)
     p.set_defaults(func=_cmd_verify)
 
+    for p in sub.choices.values():  # a flag the command would ignore is a usage error
+        p.set_defaults(usage_error=p.error)
     return parser
 
 
@@ -291,10 +301,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code) if e.code else 0
-    try:
         return args.func(args)
+    except SystemExit as e:  # argparse's usage errors, also those a command raises
+        return int(e.code) if e.code else 0
     except (PreconditionError, MemoryError) as e:
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3

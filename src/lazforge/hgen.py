@@ -141,17 +141,13 @@ def legendre_shifts(n: int) -> SequenceSet:
     return _shift_rows(minus, 2)
 
 
-def msequence_shifts(m: int, poly_mask: int | None = None) -> SequenceSet:
+def msequence_shifts(m: int) -> SequenceSet:
     """Cyclic shifts of the +-1 maximal-length sequence of period 2^m - 1.
 
-    The default polynomial is the lexicographically smallest primitive one of
-    degree m; pass poly_mask (bits = coefficients of x^0..x^{m-1}) to override.
+    The polynomial is the lexicographically smallest primitive one of degree
+    m, found as the first whose LFSR has the full period 2^m - 1.
     """
-    if m < 2:
-        raise PreconditionError("degree must be at least 2")
-    if poly_mask is None:
-        poly_mask = smallest_primitive_polynomial(m)
-    return _shift_rows(lfsr_sequence(m, poly_mask), 2)
+    return _shift_rows(lfsr_sequence(m, smallest_primitive_polynomial(m)), 2)
 
 
 def bjorck_shifts(p: int) -> SequenceSet:
@@ -198,12 +194,12 @@ GENERATORS = {
 def make_hmatrix(kind: str, order: int) -> SequenceSet:
     """Build a companion matrix of the given order by family name.
 
-    For mseq the order must be 2^m - 1; the degree is inferred.
+    For mseq the order must be 2^m - 1 with m >= 2; the degree is inferred.
     """
     if kind == "mseq":
         m = order.bit_length()
-        if 2**m - 1 != order:
-            raise PreconditionError("mseq order must be 2^m - 1")
+        if m < 2 or 2**m - 1 != order:
+            raise PreconditionError("mseq order must be 2^m - 1 with m >= 2")
         return msequence_shifts(m)
     if kind not in GENERATORS:
         raise PreconditionError(f"unknown generator kind {kind!r}")

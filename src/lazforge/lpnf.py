@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .numth import is_prime, is_primitive_root, smallest_prime_factor
+from .numth import is_prime, smallest_prime_factor
 from .seqcore import Zone
 
 
@@ -130,14 +130,20 @@ def lpnf_zone_for(n: int, k: int) -> Zone:
 
 
 def power_lpnf(p: int, alpha: int) -> ZFunc:
-    """x -> alpha^x mod p on Z_{p-1} -> Z_p, alpha a primitive root mod p."""
+    """x -> alpha^x mod p on Z_{p-1} -> Z_p, alpha a primitive root mod p.
+
+    alpha is refused unless the table's powers alpha^0..alpha^{p-2} are
+    distinct and alpha^{p-1} = 1, that is, unless the powers first return
+    to 1 at x = p - 1.  Both are needed: alpha = 1 returns to 1 at every x,
+    and alpha = 0 gives the distinct tables [1] and [1, 0] at p = 2 and 3.
+    """
     if not is_prime(p):
         raise PreconditionError("modulus must be prime")
-    if not is_primitive_root(alpha, p):
-        raise PreconditionError(f"{alpha} is not a primitive root modulo {p}")
     table = []
     v = 1
     for _ in range(p - 1):
         table.append(v)
         v = (v * alpha) % p
+    if v != 1 or len(set(table)) < p - 1:
+        raise PreconditionError(f"{alpha} is not a primitive root modulo {p}")
     return ZFunc(p - 1, p, tuple(table))

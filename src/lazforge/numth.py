@@ -1,5 +1,5 @@
-"""Small number-theory helpers: primality, orders, Legendre symbols, and
-primitive polynomials over GF(2).
+"""Small number-theory helpers: primality, Legendre symbols, and the binary
+maximal-length recurrence with the smallest primitive polynomial that drives it.
 
 Everything here runs at desk scale (arguments of a few thousand at most), so
 plain trial division is used throughout.
@@ -27,24 +27,6 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending."""
-    out = []
-    while n > 1:
-        p = smallest_prime_factor(n)
-        out.append(p)
-        while n % p == 0:
-            n //= p
-    return out
-
-
-def is_primitive_root(a: int, p: int) -> bool:
-    """True when a generates the multiplicative group of Z_p, p prime."""
-    if a % p == 0:
-        return False
-    return all(pow(a, (p - 1) // q, p) != 1 for q in prime_factors(p - 1))
-
-
 def legendre_symbol(a: int, p: int) -> int:
     """Quadratic character of a modulo an odd prime p: one of -1, 0, +1."""
     a %= p
@@ -53,53 +35,29 @@ def legendre_symbol(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def _gf2_mulmod(a: int, b: int, poly: int, m: int) -> int:
-    # polynomials as bitmasks, reduced modulo poly (degree m, leading bit set)
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a >> m & 1:
-            a ^= poly
-    return r
-
-
-def _gf2_powmod(a: int, e: int, poly: int, m: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = _gf2_mulmod(r, a, poly, m)
-        a = _gf2_mulmod(a, a, poly, m)
-        e >>= 1
-    return r
-
-
-def is_primitive_polynomial(mask: int, m: int) -> bool:
-    """Check x^m + (terms encoded by mask bits 0..m-1) for primitivity.
-
-    Primitive means x has order 2^m - 1 in GF(2)[x]/(p), which also implies
-    irreducibility.
+def _has_full_period(m: int, mask: int) -> bool:
+    """True when the LFSR of lfsr_sequence(m, mask) first returns to its
+    all-ones state after 2^m - 1 steps, which only a primitive polynomial
+    gives.  Delay m is always tapped, so the step is invertible and the
+    all-ones state lies on a cycle of at most 2^m - 1 nonzero states.
     """
-    if not mask & 1:
-        return False
-    poly = (1 << m) | mask
-    period = (1 << m) - 1
-    if _gf2_powmod(2, period, poly, m) != 1:
-        return False
-    return all(_gf2_powmod(2, period // q, poly, m) != 1 for q in prime_factors(period))
+    n = (1 << m) - 1
+    taps = 1 << m - 1 | mask >> 1  # bit d - 1 taps delay d
+    state, period = n, 0
+    while True:
+        state = (state << 1 | (state & taps).bit_count() & 1) & n
+        period += 1
+        if state == n:
+            return period == n
 
 
 def smallest_primitive_polynomial(m: int) -> int:
     """Low-coefficient mask of the lexicographically smallest primitive
-    polynomial of degree m (coefficients read from x^{m-1} down to x^0)."""
+    polynomial of degree m (coefficients read from x^{m-1} down to x^0): the
+    first odd mask whose LFSR has the full period 2^m - 1."""
     if m < 2:
         raise PreconditionError("degree must be at least 2")
-    for mask in range(1, 1 << m, 2):
-        if is_primitive_polynomial(mask, m):
-            return mask
-    raise PreconditionError(f"no primitive polynomial of degree {m}")  # unreachable
+    return next(mask for mask in range(1, 1 << m, 2) if _has_full_period(m, mask))
 
 
 def lfsr_sequence(m: int, mask: int) -> tuple[int, ...]:

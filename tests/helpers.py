@@ -1,6 +1,7 @@
 """Helpers shared by the test modules."""
 
 import json
+import math
 from fractions import Fraction
 
 from lazforge import Zone, af_grid, aperiodic_af, periodic_af, supported_orders
@@ -57,3 +58,8 @@ def set_file_text(s):
         members = [[[x.numerator, x.denominator] for x in entries(s, i)] for i in range(s.size)]
     d = {"length": s.length, "size": s.size, "phase_mode": mode, "members": members}
     return json.dumps(d, indent=2) + "\n"
+
+
+def euler_phi(n):
+    """Euler's totient by counting the k in [1, n] coprime to n."""
+    return sum(math.gcd(k, n) == 1 for k in range(1, n + 1))

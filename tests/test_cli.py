@@ -152,6 +152,12 @@ class TestHgen:
     def test_bad_positional(self, capsys):
         assert run(capsys, "hgen", "frobnicate")[0] == 2
 
+    @pytest.mark.parametrize("order", ["0", "1"])
+    def test_mseq_order_in_its_own_unit(self, capsys, order):
+        assert run(capsys, "hgen", "--kind", "mseq", "--n", order) == (
+            3, "", "error: mseq order must be 2^m - 1 with m >= 2\n",
+        )
+
     def test_verify_one_by_one(self, tmp_path, capsys):
         # no pair to scan: magnitudes 0, not negative
         path = tmp_path / "h.json"
@@ -448,6 +454,28 @@ class TestNumericArguments:
         got, stdout, err = run(capsys, *argv.format(set=set_path).split())
         assert (got, stdout) == (code, "")
         assert err.startswith("error:" if code == 3 else "usage:")
+
+
+class TestIgnoredFlags:
+    """A flag the command would ignore is a usage error (exit 2): a message
+    on stderr, nothing on stdout and no file written."""
+
+    @pytest.mark.parametrize("argv", [
+        "lpnf --n 5 --k 8 --zx 2 --diff-csv {dir}/d.csv",
+        "lpnf --n 5 --k 8 --zy 2 --diff-csv {dir}/d.csv",
+        "hgen verify {dir}/h.json --kind dft",
+        "hgen verify {dir}/h.json --n 7",
+        "hgen verify {dir}/h.json -o {dir}/report.json",
+        "gen --power-map 5 2 --n 9 --k 9 -o {dir}/s.json",
+        "gen --power-map 5 2 --k 9 -o {dir}/s.json",
+        "lpnf --power-map 5 2 --n 4",
+    ], ids=["lpnf-zx", "lpnf-zy", "hgen-verify-kind", "hgen-verify-n", "hgen-verify-o",
+            "gen-power-map-n-k", "gen-power-map-k", "lpnf-power-map-n"])
+    def test_usage_error(self, tmp_path, capsys, argv):
+        assert run(capsys, "hgen", "--kind", "dft", "--n", "7", "-o", str(tmp_path / "h.json"))[0] == 0
+        code, stdout, err = run(capsys, *argv.format(dir=tmp_path).split())
+        assert (code, stdout) == (2, "") and err.startswith("usage:")
+        assert [p.name for p in tmp_path.iterdir()] == ["h.json"]
 
 
 # JSON leaves of every type the loaders may meet, huge integers included

@@ -20,6 +20,7 @@ from lazforge import (
 )
 from lazforge.ambiguity import _af_blocks, _first_at_least, eps
 from lazforge.hgen import _pairs_to_scan
+from lazforge.numth import lfsr_sequence
 
 from helpers import entries, family_orders
 
@@ -141,9 +142,10 @@ class TestMSequenceShifts:
         assert h.size == 15 and is_row_shifts(h)
 
     def test_poly_override(self):
-        h = msequence_shifts(3, poly_mask=0b110)  # x^3 + x^2 + x: even, invalid
-        # an even mask cannot be primitive, so the LFSR degenerates; the
-        # verifier is what catches bad overrides
+        bits = lfsr_sequence(3, 0b110)  # x^3 + x^2 + x: even, invalid
+        h = SequenceSet([np.roll(bits, -i) for i in range(7)], 2)
+        # an even mask cannot be primitive, so the LFSR degenerates and the
+        # verifier refuses its shifts
         assert not verify_h_constraints(h).passed
 
 
@@ -296,3 +298,9 @@ class TestSupportedOrders:
         assert (h.size, h.length) == (7, 7) and h == msequence_shifts(3)
         with pytest.raises(PreconditionError):
             make_hmatrix("mseq", 6)
+
+    @pytest.mark.parametrize("order", [-1, 0, 1, 2])
+    def test_make_hmatrix_mseq_refuses_small_orders(self, order):
+        # an order, not a degree, was given: the message speaks of orders
+        with pytest.raises(PreconditionError, match=r"order must be 2\^m - 1 with m >= 2"):
+            make_hmatrix("mseq", order)

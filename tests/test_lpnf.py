@@ -18,6 +18,16 @@ from lazforge import (
     quad_lpnf,
 )
 
+from helpers import euler_phi
+
+
+def accepts_power_map(p, alpha):
+    try:
+        power_lpnf(p, alpha)
+    except PreconditionError:
+        return False
+    return True
+
 
 @pytest.fixture
 def example_f():
@@ -155,6 +165,20 @@ class TestPowerMap:
     def test_non_primitive_rejected(self):
         with pytest.raises(PreconditionError, match="primitive"):
             power_lpnf(7, 2)  # order 3
+
+    @pytest.mark.parametrize("p", [p for p in range(2, 200) if all(p % d for d in range(2, p))])
+    def test_accepts_phi_p_minus_1_residues(self, p):
+        # Z_p^* is cyclic of order p - 1, so it has phi(p - 1) generators
+        assert sum(accepts_power_map(p, alpha) for alpha in range(1, p)) == euler_phi(p - 1)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_zero_rejected(self, p):
+        # at p = 2 and 3 alpha = 0 gives the distinct tables [1] and [1, 0]:
+        # only alpha^(p-1) != 1 refuses it there
+        assert not accepts_power_map(p, 0) and not accepts_power_map(p, p)
+
+    def test_primitive_roots_mod_7(self):
+        assert {a for a in range(1, 7) if accepts_power_map(7, a)} == {3, 5}
 
     def test_full_zone_measure_one(self):
         for p, alpha in ((5, 2), (7, 3)):

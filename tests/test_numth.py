@@ -2,14 +2,15 @@ import pytest
 
 from lazforge.errors import PreconditionError
 from lazforge.numth import (
+    _has_full_period,
     is_prime,
-    is_primitive_root,
     legendre_symbol,
     lfsr_sequence,
-    prime_factors,
     smallest_prime_factor,
     smallest_primitive_polynomial,
 )
+
+from helpers import euler_phi
 
 
 def test_is_prime_small():
@@ -27,15 +28,6 @@ def test_smallest_prime_factor():
         smallest_prime_factor(1)
 
 
-def test_prime_factors():
-    assert prime_factors(360) == [2, 3, 5]
-    assert prime_factors(127) == [127]
-
-
-def test_primitive_roots_mod_7():
-    assert {a for a in range(1, 7) if is_primitive_root(a, 7)} == {3, 5}
-
-
 def test_legendre_symbol_matches_squares():
     for p in (7, 11, 13):
         squares = {x * x % p for x in range(1, p)}
@@ -45,8 +37,18 @@ def test_legendre_symbol_matches_squares():
 
 
 def test_smallest_primitive_polynomials():
-    # x^2+x+1, x^3+x+1, x^4+x+1, x^5+x^2+1, x^6+x+1, x^7+x+1
-    assert [smallest_primitive_polynomial(m) for m in range(2, 8)] == [3, 3, 3, 5, 3, 3]
+    # x^2+x+1, x^3+x+1, x^4+x+1, x^5+x^2+1, x^6+x+1, x^7+x+1, then degrees 8..13
+    assert [smallest_primitive_polynomial(m) for m in range(2, 14)] == [
+        3, 3, 3, 5, 3, 3, 29, 17, 9, 5, 83, 27,
+    ]
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_full_period_masks_are_the_primitive_polynomials(m):
+    # there are phi(2^m - 1) / m primitive polynomials of degree m over GF(2)
+    n = 2**m - 1
+    accepted = [mask for mask in range(1, 1 << m, 2) if _has_full_period(m, mask)]
+    assert len(accepted) == euler_phi(n) // m
 
 
 def test_lfsr_reference_unroll():

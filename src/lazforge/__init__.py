@@ -5,8 +5,7 @@ from .ambiguity import (
     AFWitness,
     ThetaReport,
     af_grid,
-    aperiodic_af,
-    periodic_af,
+    direct_af,
     structural_af,
     theta_max,
 )

@@ -4,10 +4,8 @@ structural closed form for interleaved sets.
 Conventions: for length-L sequences a, b (complex rows, such as the rows of
 a set's `matrix`) and integers tau, v,
 
-    periodic   AF(tau, v) = sum_{t=0}^{L-1}       a(t) b*(<t+tau>_L) w_L^{vt}
-    aperiodic  AF(tau, v) = sum_{t=0}^{L-1-tau}   a(t) b*(t+tau)     w_L^{vt}   (0 <= tau < L)
-                            sum_{t=-tau}^{L-1}    a(t) b*(t+tau)     w_L^{vt}   (-L < tau < 0)
-                            0                                                   (|tau| >= L)
+    periodic   AF(tau, v) = sum_{t=0}^{L-1} a(t) b*(<t+tau>_L) w_L^{vt}
+    aperiodic  AF(tau, v) = the same sum over the t with 0 <= t + tau < L
 
 The Doppler exponent base is always the full sequence length; negative v is
 handled by the exponent sign.
@@ -15,7 +13,6 @@ handled by the exponent sign.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -59,39 +56,25 @@ def eps(length: int) -> float:
     return 48 * length * math.log2(max(length, 2)) * 2.0**-53
 
 
-def _doppler_vector(length: int, v: int) -> np.ndarray:
-    return np.exp(2j * np.pi * v * np.arange(length) / length)
-
-
 def _check_pair(a: np.ndarray, b: np.ndarray) -> int:
     if len(a) != len(b):
         raise PreconditionError("sequences must have equal length")
     return len(a)
 
 
-def periodic_af(a: np.ndarray, b: np.ndarray, tau: int, v: int) -> complex:
+def direct_af(a: np.ndarray, b: np.ndarray, tau: int, v: int, kind: str) -> complex:
+    """AF_ab(tau, v) summed term by term: a(t) b*(<t+tau>_L) w_L^{vt} over
+    every t, or for the aperiodic kind only the t with 0 <= t + tau < L."""
+    check_kind(kind)
     n = _check_pair(a, b)
-    prod = a * np.conj(np.roll(b, -tau))
-    return complex(np.sum(prod * _doppler_vector(n, v)))
+    t = np.arange(n)
+    if kind == "aperiodic":
+        t = t[(0 <= t + tau) & (t + tau < n)]
+    return complex(np.sum(a[t] * np.conj(b[(t + tau) % n]) * np.exp(2j * np.pi * v * t / n)))
 
 
-def aperiodic_af(a: np.ndarray, b: np.ndarray, tau: int, v: int) -> complex:
-    n = _check_pair(a, b)
-    if abs(tau) >= n:
-        return 0j
-    ts = np.arange(0, n - tau) if tau >= 0 else np.arange(-tau, n)
-    prod = a[ts] * np.conj(b[ts + tau])
-    return complex(np.sum(prod * _doppler_vector(n, v)[ts]))
-
-
-def _af_blocks(
-    mat: np.ndarray,
-    ii: np.ndarray,
-    jj: np.ndarray,
-    taus: Sequence[int],
-    kind: str,
-    vidx: np.ndarray | slice = slice(None),
-) -> Iterator[tuple[int, int, np.ndarray]]:
+def _af_blocks(mat: np.ndarray, ii: np.ndarray, jj: np.ndarray, taus: Sequence[int], kind: str,
+               vidx: np.ndarray | slice = slice(None)) -> Iterator[tuple[int, int, np.ndarray]]:
     """AF of the row pairs (mat[ii[p]], mat[jj[p]]) at every delay in taus,
     each |tau| < L: the one pair scan, behind zone maxima, empirical zones,
     the companion verifier and the distinctness check.
@@ -197,68 +180,45 @@ def theta_max(s: SequenceSet, zone: Zone, kind: str) -> ThetaReport:
     return ThetaReport(theta_a=theta_a, theta_c=theta_c, theta_max=measured, witness=witness)
 
 
-# ---------------------------------------------------------------------------
-# structural closed form for interleaved sets
-# ---------------------------------------------------------------------------
+def structural_af(f: ZFunc, h: SequenceSet, i: int, j: int, zone: Zone, kind: str) -> np.ndarray:
+    """af_grid's array for the interleaved pair (s_i, s_j), s_n(tN + m) =
+    h_n(m) w_K^{t f(m)}, from f and the N x N companion matrix h: an
+    independent oracle that calls neither _af_blocks nor an FFT.
 
+    With tau = N tau1 + tau2 (0 <= tau2 < N), m = <x + tau2>_N and d_x =
+    tau1 + [x + tau2 >= N], the row of one delay is (h_i(x) h_j*(m))_x @ W,
+    one (N, V) weight matrix for every pair: W[x, v] = w_L^{xv} w_K^{-d_x
+    f(m)} inner(e, d_x), e = <f(x) + v - f(m)>_K.  Periodic: inner = K [e =
+    0].  Aperiodic, t running over max(0, -d) <= t < min(K, K - d): inner =
+    w_K^{e max(0, -d)} G(e, K - |d|), 0 at |d| = K, with G(e, c) =
+    sum_{t<c} w_K^{et} = (1 - w_K^{ec}) / (1 - w_K^e) for e != 0.
 
-def _unit(turns: float) -> complex:
-    return cmath.exp(2j * math.pi * turns)
-
-
-def _inner_aperiodic(e: int, d: int, fm: int, k: int) -> complex:
-    """Aperiodic base-row AF at delay d: w_K^{-d fm} * sum_{t<K-d} w_K^{et}."""
-    if d >= k:
-        return 0j
-    lead = _unit(-d * fm / k)
-    if e % k == 0:
-        return (k - d) * lead
-    return lead * (1 - _unit(e * (k - d) / k)) / (1 - _unit(e / k))
-
-
-def structural_af(
-    f: ZFunc, h: SequenceSet, i: int, j: int, tau: int, v: int, kind: str
-) -> complex:
-    """AF of the interleaved pair (s_i, s_j) evaluated without materializing
-    the sequences.
-
-    Splitting tau = N*tau1 + tau2 (0 <= tau2 < N) reduces each AF value to a
-    length-N sum whose terms carry a base-row AF factor: a scaled delta for
-    the periodic kind, a truncated geometric sum for the aperiodic kind; h is
-    the N x N companion matrix.  Exists as an independent oracle against
-    direct evaluation.
+    Round-off: G divides by |1 - w_K^e| >= 2 sin(pi/K), which can scale a
+    term's error by up to about K/pi; N such terms stay within O(uL), inside
+    eps(L), as K <= L.
     """
     check_kind(kind)
     n, k = f.domain_size, f.codomain_size
     if h.size != n or h.length != n:
         raise PreconditionError("companion matrix must be N x N for the domain size N")
-    total_len = n * k
+    zone.check_fits(n * k)
+    x, v, fx, hm = np.arange(n), np.asarray(zone.dopplers()), np.asarray(f.table), h.matrix
 
-    if kind == "aperiodic":
-        if abs(tau) >= total_len:
-            return 0j
-        if tau < 0:
-            # AF_{a,b}(-tau, v) = w^{v*tau} * conj(AF_{b,a}(tau, -v))
-            ref = structural_af(f, h, j, i, -tau, -v, kind)
-            return _unit(v * (-tau) / total_len) * ref.conjugate()
-    else:
-        tau %= total_len
+    def root(turns, q):  # w_q^turns
+        return np.exp(2j * np.pi * (turns % q) / q)
 
-    tau1, tau2 = divmod(tau, n)
-    hm = h.matrix
-    acc = 0j
-    for x in range(n):
+    rows = []
+    for tau in zone.delays():
+        tau1, tau2 = divmod(tau, n)
         m = (x + tau2) % n
-        wrapped = x + tau2 >= n
-        d = tau1 + 1 if wrapped else tau1
-        e = f.table[x] + v - f.table[m]
+        d, fm = (tau1 + (x + tau2 >= n))[:, None], fx[m][:, None]
+        e = (fx[:, None] + v - fm) % k
+        turns = np.outer(x, v) - n * d * fm  # w_L^{xv} w_K^{-d f(m)}, in 1/L turns
         if kind == "periodic":
-            if e % k != 0:
-                continue
-            inner = k * _unit(-(d % k) * f.table[m] / k)
+            inner = k * (e == 0)
         else:
-            inner = _inner_aperiodic(e, d, f.table[m], k)
-            if inner == 0j:
-                continue
-        acc += hm[i, x] * np.conj(hm[j, m]) * _unit(x * v / total_len) * inner
-    return complex(acc)
+            c = k - abs(d)  # |d| <= K in a zone that fits; G(e, 0) = 0
+            turns += n * e * np.maximum(0, -d)
+            inner = np.divide(1 - root(e * c, k), 1 - root(e, k), out=c + 0j * e, where=e != 0)
+        rows.append((hm[i] * np.conj(hm[j, m])) @ (root(turns, n * k) * inner))
+    return np.array(rows)

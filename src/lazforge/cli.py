@@ -80,13 +80,15 @@ def _meta_path(out: str) -> Path:
 
 def _build_function(args):
     if args.power_map is not None:
-        if args.n is not None or args.k is not None:
-            args.usage_error("--n and --k do not apply with --power-map")
+        if (args.n, args.k, args.a2, args.a1) != (None, None, None, None):
+            args.usage_error("--n, --k, --a2 and --a1 do not apply with --power-map")
         p, alpha = args.power_map
         return power_lpnf(p, alpha), ("power", p, alpha)
     if args.n is None or args.k is None:
         raise PreconditionError("--n and --k are required without --power-map")
-    return quad_lpnf(args.n, args.a2, args.a1, args.k), ("quad", args.n, args.k)
+    a2 = 1 if args.a2 is None else args.a2
+    a1 = 0 if args.a1 is None else args.a1
+    return quad_lpnf(args.n, a2, a1, args.k), ("quad", args.n, args.k)
 
 
 def _cmd_gen(args) -> int:
@@ -228,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_function_flags(p):
         p.add_argument("--n", type=int, help="function domain size")
         p.add_argument("--k", type=int, help="function codomain size")
-        p.add_argument("--a2", type=int, default=1, help="quadratic coefficient")
-        p.add_argument("--a1", type=int, default=0, help="linear coefficient")
+        p.add_argument("--a2", type=int, help="quadratic coefficient")
+        p.add_argument("--a1", type=int, help="linear coefficient")
         p.add_argument(
             "--power-map",
             nargs=2,

@@ -35,9 +35,6 @@ class ZFunc:
         if any(not 0 <= v < self.codomain_size for v in self.table):
             raise PreconditionError("table entries must be codomain residues")
 
-    def __call__(self, x: int) -> int:
-        return self.table[x % self.domain_size]
-
 
 def diff_table(f: ZFunc, a: int) -> tuple[int, ...]:
     """Entry x is (f(x+a) - f(x)) mod K."""

@@ -7,6 +7,9 @@ plain trial division is used throughout.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import islice
+
 from .errors import PreconditionError
 
 
@@ -35,6 +38,18 @@ def legendre_symbol(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
+def _lfsr_states(m: int, mask: int) -> Iterator[int]:
+    """The states of the LFSR of lfsr_sequence(m, mask) after each step from
+    the all-ones state: bit d - 1 holds the bit at delay d, and the new bit,
+    the parity of the tapped bits, enters at bit 0."""
+    n = (1 << m) - 1
+    taps = 1 << m - 1 | mask >> 1  # bit d - 1 taps delay d
+    state = n
+    while True:
+        state = (state << 1 | (state & taps).bit_count() & 1) & n
+        yield state
+
+
 def _has_full_period(m: int, mask: int) -> bool:
     """True when the LFSR of lfsr_sequence(m, mask) first returns to its
     all-ones state after 2^m - 1 steps, which only a primitive polynomial
@@ -42,13 +57,7 @@ def _has_full_period(m: int, mask: int) -> bool:
     all-ones state lies on a cycle of at most 2^m - 1 nonzero states.
     """
     n = (1 << m) - 1
-    taps = 1 << m - 1 | mask >> 1  # bit d - 1 taps delay d
-    state, period = n, 0
-    while True:
-        state = (state << 1 | (state & taps).bit_count() & 1) & n
-        period += 1
-        if state == n:
-            return period == n
+    return next(t for t, state in enumerate(_lfsr_states(m, mask), 1) if state == n) == n
 
 
 def smallest_primitive_polynomial(m: int) -> int:
@@ -67,9 +76,5 @@ def lfsr_sequence(m: int, mask: int) -> tuple[int, ...]:
     nonzero exponents, the constant term contributing delay m (Fibonacci tap
     convention).
     """
-    n = (1 << m) - 1
-    delays = [m] + [i for i in range(1, m) if mask >> i & 1]
-    bits = [1] * m
-    for t in range(m, n):
-        bits.append(sum(bits[t - d] for d in delays) % 2)
-    return tuple(bits)
+    steps = islice(_lfsr_states(m, mask), (1 << m) - 1 - m)
+    return (1,) * m + tuple(state & 1 for state in steps)

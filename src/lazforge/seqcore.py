@@ -159,6 +159,8 @@ def sequence_set_from_dict(d: dict) -> SequenceSet:
     keys = ("length", "size", "phase_mode", "members")
     if not isinstance(d, dict) or any(key not in d for key in keys):
         raise PreconditionError(f"a set needs the keys {keys}")
+    if extra := [key for key in d if key not in keys]:
+        raise PreconditionError(f"a set has only the keys {keys}, not {extra}")
     length, size, mode, rows = (d[key] for key in keys)
     if mode not in ("rational", "float"):
         raise PreconditionError(f"unknown phase_mode {mode!r}")

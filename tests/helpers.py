@@ -4,11 +4,8 @@ import json
 import math
 from fractions import Fraction
 
-from lazforge import Zone, af_grid, aperiodic_af, periodic_af, supported_orders
+from lazforge import Zone, af_grid, supported_orders
 from lazforge.numth import is_prime
-
-# the direct-sum AF of each kind, the oracle for the batched kernel
-DIRECT = {"periodic": periodic_af, "aperiodic": aperiodic_af}
 
 
 def doppler_row(a, b, tau, kind):

@@ -11,20 +11,23 @@ from lazforge import (
     SequenceSet,
     Zone,
     af_grid,
-    aperiodic_af,
     build_laz_set,
+    direct_af,
+    factor_interleaved,
     legendre_shifts,
     make_hmatrix,
     msequence_shifts,
-    periodic_af,
+    power_lpnf,
+    power_map_params,
     predicted_params,
     quad_lpnf,
     structural_af,
     theta_max,
 )
 from lazforge.ambiguity import eps
+from lazforge.seqcore import KINDS
 
-from helpers import ACCEPTANCE_CONFIGS, DIRECT, doppler_row
+from helpers import ACCEPTANCE_CONFIGS, doppler_row
 
 # the acceptance sets, and Björck companions (float phases) up to 23x529
 BOUND_SETS = ACCEPTANCE_CONFIGS + [(7, 7, "bjorck"), (23, 23, "bjorck")]
@@ -57,39 +60,44 @@ def naive_aperiodic(a, b, tau, v):
 class TestPointEvaluation:
     def test_main_lobe(self):
         a = random_unimodular(13, 0)
-        assert periodic_af(a, a, 0, 0) == pytest.approx(13)
-        assert aperiodic_af(a, a, 0, 0) == pytest.approx(13)
+        assert direct_af(a, a, 0, 0, "periodic") == pytest.approx(13)
+        assert direct_af(a, a, 0, 0, "aperiodic") == pytest.approx(13)
 
     def test_all_ones_geometric_sum(self):
         a = np.ones(8, complex)
         for v in range(1, 8):
-            assert abs(periodic_af(a, a, 3, v)) == pytest.approx(0, abs=1e-12)
-        assert periodic_af(a, a, 3, 8) == pytest.approx(8)
+            assert abs(direct_af(a, a, 3, v, "periodic")) == pytest.approx(0, abs=1e-12)
+        assert direct_af(a, a, 3, 8, "periodic") == pytest.approx(8)
 
     def test_aperiodic_boundary_single_term(self):
         a, b = random_unimodular(9, 1), random_unimodular(9, 2)
         want = a[0] * np.conj(b[8])
-        assert aperiodic_af(a, b, 8, 0) == pytest.approx(want)
+        assert direct_af(a, b, 8, 0, "aperiodic") == pytest.approx(want)
 
     def test_aperiodic_zero_outside_support(self):
         a = random_unimodular(9, 3)
-        assert aperiodic_af(a, a, 9, 0) == 0j
-        assert aperiodic_af(a, a, -9, 4) == 0j
+        assert direct_af(a, a, 9, 0, "aperiodic") == 0j
+        assert direct_af(a, a, -9, 4, "aperiodic") == 0j
 
     def test_matches_naive_sums(self):
         a, b = random_unimodular(11, 4), random_unimodular(11, 5)
         for tau in (-10, -3, 0, 2, 7):
             for v in (-5, 0, 1, 9):
-                assert periodic_af(a, b, tau, v) == pytest.approx(
+                assert direct_af(a, b, tau, v, "periodic") == pytest.approx(
                     naive_periodic(a, b, tau, v)
                 )
-                assert aperiodic_af(a, b, tau, v) == pytest.approx(
+                assert direct_af(a, b, tau, v, "aperiodic") == pytest.approx(
                     naive_aperiodic(a, b, tau, v)
                 )
 
     def test_length_mismatch(self):
         with pytest.raises(PreconditionError):
-            periodic_af(random_unimodular(4, 0), random_unimodular(5, 0), 0, 0)
+            direct_af(random_unimodular(4, 0), random_unimodular(5, 0), 0, 0, "periodic")
+
+    def test_unknown_kind(self):
+        a = random_unimodular(4, 0)
+        with pytest.raises(PreconditionError):
+            direct_af(a, a, 0, 0, "cyclic")
 
     @given(st.integers(2, 16), st.integers(0, 10**6))
     @settings(max_examples=25)
@@ -98,8 +106,8 @@ class TestPointEvaluation:
         a, b = np.exp(2j * np.pi * rng.random((2, n)))
         tau = int(rng.integers(-n, n + 1))
         v = int(rng.integers(-2 * n, 2 * n + 1))
-        assert abs(periodic_af(a, b, tau, v)) <= n + 1e-9
-        assert abs(aperiodic_af(a, b, tau, v)) <= n + 1e-9
+        assert abs(direct_af(a, b, tau, v, "periodic")) <= n + 1e-9
+        assert abs(direct_af(a, b, tau, v, "aperiodic")) <= n + 1e-9
 
     @given(st.integers(2, 12), st.integers(0, 10**6))
     @settings(max_examples=25)
@@ -108,8 +116,8 @@ class TestPointEvaluation:
         a, b = np.exp(2j * np.pi * rng.random((2, n)))
         tau = int(rng.integers(-n + 1, n))
         v = int(rng.integers(-n, n))
-        lhs = abs(periodic_af(a, b, tau, v))
-        rhs = abs(periodic_af(b, a, -tau, -v))
+        lhs = abs(direct_af(a, b, tau, v, "periodic"))
+        rhs = abs(direct_af(b, a, -tau, -v, "periodic"))
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -121,11 +129,10 @@ class TestAfRow:
     def test_matches_pointwise(self, length, kind):
         a = random_unimodular(length, length)
         b = random_unimodular(length, length + 1)
-        direct = DIRECT[kind]
         for tau in (0, 1, length // 2, -1):
             row = doppler_row(a, b, tau, kind)
             for v in (0, 1, length - 1, length // 3):
-                assert row[v] == pytest.approx(direct(a, b, tau, v), abs=1e-9 * length)
+                assert row[v] == pytest.approx(direct_af(a, b, tau, v, kind), abs=1e-9 * length)
 
     def test_tau0_periodic_row_is_transform_of_product(self):
         a, b = random_unimodular(12, 7), random_unimodular(12, 8)
@@ -145,7 +152,7 @@ class TestAfRow:
         assert g.shape == (len(zone.delays()), len(zone.dopplers()))
         for r, tau in enumerate(zone.delays()):
             for c, v in enumerate(zone.dopplers()):
-                want = aperiodic_af(a, b, tau, v)
+                want = direct_af(a, b, tau, v, "aperiodic")
                 assert g[r, c] == pytest.approx(want, abs=1e-9 * 49)
 
     @pytest.mark.parametrize("length", [7, 12])
@@ -157,7 +164,7 @@ class TestAfRow:
         b = random_unimodular(length, 3 * length + 1)
         zone = Zone(length, length)
         g = af_grid(a, b, zone, kind)
-        want = [[DIRECT[kind](a, b, tau, v) for v in zone.dopplers()] for tau in zone.delays()]
+        want = [[direct_af(a, b, tau, v, kind) for v in zone.dopplers()] for tau in zone.delays()]
         assert np.allclose(g, want, rtol=0, atol=1e-12 * length)
 
 
@@ -175,13 +182,13 @@ class TestThetaMax:
         for a in set_7_7.matrix:
             for v in range(-48, 49):
                 if v % 7:
-                    assert abs(periodic_af(a, a, 0, v)) < 1e-9
+                    assert abs(direct_af(a, a, 0, v, "periodic")) < 1e-9
 
     def test_zone_max_is_k(self, set_7_7):
         rep = theta_max(s=set_7_7, zone=Zone(7, 7), kind="periodic")
         assert rep.theta_max == pytest.approx(7, abs=1e-6)
         w = rep.witness
-        got = periodic_af(set_7_7.matrix[w.i], set_7_7.matrix[w.j], w.tau, w.v)
+        got = direct_af(set_7_7.matrix[w.i], set_7_7.matrix[w.j], w.tau, w.v, "periodic")
         assert abs(got) == pytest.approx(w.magnitude, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
@@ -215,7 +222,7 @@ class TestThetaMax:
         s = build_laz_set(quad_lpnf(n, a2, a1, n + k_extra), make_hmatrix(h, n))
         zone = Zone(z_x, z_y)
         rep = theta_max(s, zone, kind)
-        direct, mat = DIRECT[kind], s.matrix
+        mat = s.matrix
         theta = {True: 0.0, False: 0.0}  # auto, cross
         points = []  # (|AF|, (i, j, tau, v)), a pair i > j folded onto (j, i, -tau, -v)
         for i in range(n):
@@ -224,7 +231,7 @@ class TestThetaMax:
                     for v in zone.dopplers():
                         if i == j and tau == 0 and v == 0:
                             continue
-                        mag = abs(direct(mat[i], mat[j], tau, v))
+                        mag = abs(direct_af(mat[i], mat[j], tau, v, kind))
                         theta[i == j] = max(theta[i == j], mag)
                         points.append((mag, (i, j, tau, v) if i <= j else (j, i, -tau, -v)))
         assert rep.theta_a == pytest.approx(theta[True], abs=1e-9)
@@ -234,45 +241,70 @@ class TestThetaMax:
         w = rep.witness
         assert (w.i, w.j, w.tau, w.v) == min(key for mag, key in points if mag >= top - band)
         assert rep.theta_max - band <= w.magnitude <= rep.theta_max
-        assert abs(direct(mat[w.i], mat[w.j], w.tau, w.v)) == pytest.approx(w.magnitude, abs=1e-9)
+        assert abs(direct_af(mat[w.i], mat[w.j], w.tau, w.v, kind)) == pytest.approx(
+            w.magnitude, abs=1e-9
+        )
 
     def test_zone_must_fit(self, set_7_7):
         with pytest.raises(PreconditionError):
             theta_max(set_7_7, Zone(50, 5), "periodic")
 
 
+@st.composite
+def interleaved_functions(draw):
+    """(f, companion family): a quadratic on N with any a2, a1 and K >= N, or a
+    power map over DFT companions of order p - 1."""
+    if draw(st.booleans()):
+        p, alpha = draw(st.sampled_from([(5, 2), (7, 3), (11, 2), (13, 2)]))
+        return power_lpnf(p, alpha), "dft"
+    n, family = draw(st.sampled_from([(3, "legendre"), (3, "mseq"), (5, "dft"), (7, "dft"),
+                                      (7, "legendre"), (7, "mseq"), (7, "bjorck"), (9, "dft")]))
+    a2 = draw(st.integers(1, n - 1).filter(lambda a2: math.gcd(a2, n) == 1))
+    a1, k = draw(st.integers(0, n - 1)), n + draw(st.integers(0, 6))
+    return quad_lpnf(n, a2, a1, k), family
+
+
 class TestStructuralOracle:
     def test_matches_direct_on_7_7_zone(self, set_7_7):
-        f = quad_lpnf(7, 1, 0, 7)
-        h = legendre_shifts(7)
-        mat = set_7_7.matrix
+        # the per-point link between the two independent oracles
+        f, h = quad_lpnf(7, 1, 0, 7), legendre_shifts(7)
+        mat, zone = set_7_7.matrix, Zone(7, 7)
         for i, j in ((0, 0), (0, 1), (3, 5)):
-            for tau in range(-6, 7):
-                for v in range(-6, 7):
-                    for kind, direct in DIRECT.items():
-                        want = direct(mat[i], mat[j], tau, v)
-                        got = structural_af(f, h, i, j, tau, v, kind)
-                        assert got == pytest.approx(want, abs=1e-9 * 49), (
-                            i, j, tau, v, kind,
-                        )
+            for kind in KINDS:
+                want = [[direct_af(mat[i], mat[j], tau, v, kind) for v in zone.dopplers()]
+                        for tau in zone.delays()]
+                got = structural_af(f, h, i, j, zone, kind)
+                assert np.abs(got - np.array(want)).max() <= 1e-9 * 49, (i, j, kind)
 
-    def test_matches_direct_on_7_11_sample(self, set_7_11):
-        f = quad_lpnf(7, 1, 0, 11)
-        h = msequence_shifts(3)
+    def test_matches_af_grid_on_7_11_full_zone(self, set_7_11):
+        f, h = quad_lpnf(7, 1, 0, 11), msequence_shifts(3)
+        mat, zone = set_7_11.matrix, Zone(77, 77)
         rng = np.random.default_rng(42)
-        for _ in range(120):
-            i, j = (int(x) for x in rng.integers(0, 7, 2))
-            tau = int(rng.integers(-76, 77))
-            v = int(rng.integers(-80, 81))
-            kind = "periodic" if rng.random() < 0.5 else "aperiodic"
-            want = DIRECT[kind](set_7_11.matrix[i], set_7_11.matrix[j], tau, v)
-            got = structural_af(f, h, i, j, tau, v, kind)
-            assert got == pytest.approx(want, abs=1e-9 * 77), (i, j, tau, v, kind)
+        for i, j in rng.integers(0, 7, (4, 2)).tolist():
+            for kind in KINDS:
+                got = structural_af(f, h, i, j, zone, kind)
+                want = af_grid(mat[i], mat[j], zone, kind)
+                assert np.abs(got - want).max() <= eps(77) / 4, (i, j, kind)
+
+    @given(interleaved_functions(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_af_grid(self, f_family, data):
+        # any pair of any set the two families build, over any zone that fits
+        f, family = f_family
+        s = build_laz_set(f, make_hmatrix(family, f.domain_size))
+        n, length = s.size, s.length
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        zone = Zone(data.draw(st.integers(1, length)), data.draw(st.integers(1, length)))
+        kind = data.draw(st.sampled_from(KINDS))
+        got = structural_af(*factor_interleaved(s), i, j, zone, kind)
+        want = af_grid(s.matrix[i], s.matrix[j], zone, kind)
+        assert got.shape == want.shape == (len(zone.delays()), len(zone.dopplers()))
+        assert np.abs(got - want).max() <= eps(length) / 4
 
     def test_main_lobe(self):
         f = quad_lpnf(7, 1, 0, 7)
         h = legendre_shifts(7)
-        assert structural_af(f, h, 2, 2, 0, 0, "periodic") == pytest.approx(49)
+        assert structural_af(f, h, 2, 2, Zone(1, 1), "periodic")[0, 0] == pytest.approx(49)
 
     def test_aligned_doppler_reduces_to_modulated_row_sum(self, set_7_7):
         # tau2 = 0 and K | v: the AF collapses to K times the companion
@@ -280,20 +312,29 @@ class TestStructuralOracle:
         f = quad_lpnf(7, 1, 0, 7)
         h = legendre_shifts(7)
         hm = h.matrix
+        row = structural_af(f, h, 1, 4, Zone(1, 43), "periodic")[0]  # v = -42..42
         for v1 in range(7):
             want = 7 * np.sum(
                 hm[1] * np.conj(hm[4]) * np.exp(2j * np.pi * np.arange(7) * v1 / 7)
             )
-            got = structural_af(f, h, 1, 4, 0, 7 * v1, "periodic")
-            assert got == pytest.approx(want, abs=1e-9 * 49)
+            assert row[42 + 7 * v1] == pytest.approx(want, abs=1e-9 * 49)
+
+    def test_refuses_bad_input(self, set_7_7):
+        f, h = quad_lpnf(7, 1, 0, 7), legendre_shifts(7)
+        with pytest.raises(PreconditionError):
+            structural_af(f, h, 0, 1, Zone(3, 3), "cyclic")
+        with pytest.raises(PreconditionError):
+            structural_af(f, h, 0, 1, Zone(50, 3), "periodic")
+        with pytest.raises(PreconditionError):
+            structural_af(quad_lpnf(5, 1, 0, 7), h, 0, 1, Zone(3, 3), "periodic")
 
     def test_aperiodic_triangle_bound(self, set_7_7):
         mat = set_7_7.matrix
         for i, j in ((0, 0), (2, 6)):
             for tau in range(-6, 7):
                 for v in range(-6, 7):
-                    ap = abs(aperiodic_af(mat[i], mat[j], tau, v))
-                    per = abs(periodic_af(mat[i], mat[j], tau, v))
+                    ap = abs(direct_af(mat[i], mat[j], tau, v, "aperiodic"))
+                    per = abs(direct_af(mat[i], mat[j], tau, v, "periodic"))
                     assert ap <= per + abs(tau) + 1e-9
 
 
@@ -323,6 +364,16 @@ class TestRoundOffBound:
         zone = predicted_params(n, f.codomain_size, kind).zone
         for i, j in ((0, 0), (0, n - 1), (n - 1, 1)):
             grid = af_grid(s.matrix[i], s.matrix[j], zone, kind)
-            closed = [[structural_af(f, h, i, j, tau, v, kind) for v in zone.dopplers()]
-                      for tau in zone.delays()]
-            assert np.abs(grid - np.array(closed)).max() <= eps(s.length) / 4, (i, j)
+            closed = structural_af(f, h, i, j, zone, kind)
+            assert np.abs(grid - closed).max() <= eps(s.length) / 4, (i, j)
+
+    @pytest.mark.parametrize("p, alpha", [(11, 2), (31, 3)])
+    @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
+    def test_structural_matches_fft_rows_power_map(self, p, alpha, kind):
+        f, h = power_lpnf(p, alpha), make_hmatrix("dft", p - 1)
+        s = build_laz_set(f, h)
+        zone = power_map_params(p, kind).zone
+        for i, j in ((0, 0), (0, p - 2), (p - 2, 1)):
+            grid = af_grid(s.matrix[i], s.matrix[j], zone, kind)
+            closed = structural_af(f, h, i, j, zone, kind)
+            assert np.abs(grid - closed).max() <= eps(s.length) / 4, (i, j)

@@ -396,6 +396,21 @@ class TestFailClosedLoading:
         monkeypatch.setattr("lazforge.seqcore.MAX_FILE_BYTES", size)
         assert run(capsys, *argv)[0] == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--set", "{extra}", "--meta", "{meta}"],
+        ["af", "--set", "{extra}", "--kind", "periodic", "--zx", "2", "--zy", "2"],
+        ["hgen", "verify", "{extra}"],
+    ], ids=["verify", "af", "hgen-verify"])
+    def test_set_file_key_outside_the_schema_is_refused(self, files, capsys, tmp_path, argv):
+        # a 3x3 DFT set that loads without the key; with it, the reader would
+        # otherwise ignore the key and keep the denominator of the members
+        d = json.loads(set_file_text(make_hmatrix("dft", 3)))
+        d["denominator"] = 7
+        extra = tmp_path / "extra.json"
+        extra.write_text(json.dumps(d))
+        code, stdout, err = run(capsys, *(a.format(extra=extra, meta=files["meta"]) for a in argv))
+        assert (code, stdout) == (3, "") and err.startswith("error:") and "'denominator'" in err
+
     @pytest.mark.parametrize("bad", ["nan", "truncated"])
     def test_af_refuses_bad_set(self, files, capsys, bad):
         code, _, _ = run(
@@ -469,8 +484,11 @@ class TestIgnoredFlags:
         "gen --power-map 5 2 --n 9 --k 9 -o {dir}/s.json",
         "gen --power-map 5 2 --k 9 -o {dir}/s.json",
         "lpnf --power-map 5 2 --n 4",
+        "gen --power-map 5 2 --a2 3 --a1 2 -o {dir}/s.json",
+        "lpnf --power-map 5 2 --a2 3",
     ], ids=["lpnf-zx", "lpnf-zy", "hgen-verify-kind", "hgen-verify-n", "hgen-verify-o",
-            "gen-power-map-n-k", "gen-power-map-k", "lpnf-power-map-n"])
+            "gen-power-map-n-k", "gen-power-map-k", "lpnf-power-map-n",
+            "gen-power-map-a2-a1", "lpnf-power-map-a2"])
     def test_usage_error(self, tmp_path, capsys, argv):
         assert run(capsys, "hgen", "--kind", "dft", "--n", "7", "-o", str(tmp_path / "h.json"))[0] == 0
         code, stdout, err = run(capsys, *argv.format(dir=tmp_path).split())

@@ -326,6 +326,7 @@ MALFORMED = {
     "bool size": dict(_valid_float(), members=[[0.5, 1.5, 2.5]], size=True),
     "empty members": dict(_valid_float(), members=[], size=0),
     "unknown mode": dict(_valid_rational(), phase_mode="complex"),
+    "extra key": dict(_valid_rational(), denominator=7),
     "missing length": _without("length"),
     "missing size": _without("size"),
     "missing phase_mode": _without("phase_mode"),

@@ -21,7 +21,7 @@ from lazforge import (
     dft_submatrix,
     empirical_zone,
     make_hmatrix,
-    periodic_af,
+    direct_af,
     power_lpnf,
     power_map_params,
     predicted_params,
@@ -185,7 +185,7 @@ class TestCyclicDistinct:
         n, mat = set_7_7.length, set_7_7.matrix
         for i, j in ((0, 1), (2, 5)):
             peak = max(
-                abs(periodic_af(mat[i], mat[j], tau, v))
+                abs(direct_af(mat[i], mat[j], tau, v, "periodic"))
                 for tau in range(n)
                 for v in range(n)
             )

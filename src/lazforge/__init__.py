@@ -7,7 +7,6 @@ from .ambiguity import (
     af_grid,
     direct_af,
     structural_af,
-    theta_max,
 )
 from .bounds import (
     BoundReport,
@@ -60,6 +59,7 @@ from .verify import (
     cyclic_distinct,
     empirical_zone,
     reproduce_table,
+    theta_max,
 )
 
 __version__ = "0.1.0"

@@ -70,7 +70,8 @@ def direct_af(a: np.ndarray, b: np.ndarray, tau: int, v: int, kind: str) -> comp
     t = np.arange(n)
     if kind == "aperiodic":
         t = t[(0 <= t + tau) & (t + tau < n)]
-    return complex(np.sum(a[t] * np.conj(b[(t + tau) % n]) * np.exp(2j * np.pi * v * t / n)))
+    doppler = np.exp(2j * np.pi * ((v * t) % n) / n)  # v t reduced mod L in integers
+    return complex(np.sum(a[t] * np.conj(b[(t + tau) % n]) * doppler))
 
 
 def _af_blocks(mat: np.ndarray, ii: np.ndarray, jj: np.ndarray, taus: Sequence[int], kind: str,
@@ -138,8 +139,10 @@ class ThetaReport:
     witness: AFWitness | None
 
 
-def theta_max(s: SequenceSet, zone: Zone, kind: str) -> ThetaReport:
-    """Exhaustive max |AF| over the open zone, the auto maximum without (0, 0).
+def scan_theta(s: SequenceSet, zone: Zone, kind: str) -> ThetaReport:
+    """Max |AF| over the open zone, the auto maximum without (0, 0), from the
+    FFT scan of every zone point: the general path of `verify.theta_max`,
+    for any set, and the reference for its closed form.
 
     As |AF_ji(tau, v)| = |AF_ij(-tau, -v)| on the symmetric zone, only the
     pairs i <= j are scanned.  The witness is the first (i, j, tau, v),
@@ -151,17 +154,23 @@ def theta_max(s: SequenceSet, zone: Zone, kind: str) -> ThetaReport:
     check_kind(kind)
     zone.check_fits(s.length)
     ii, jj = np.triu_indices(s.size)  # pairs i <= j, lexicographic
-    delays = zone.delays()
     origin = (zone.z_x - 1, zone.z_y - 1)  # row of tau = 0, column of v = 0
     vidx = np.asarray(zone.dopplers()) % s.length
     best = np.full(len(ii), -1.0)
-    for lo, r, block in _af_blocks(s.matrix, ii, jj, delays, kind, vidx):
+    for lo, r, block in _af_blocks(s.matrix, ii, jj, zone.delays(), kind, vidx):
         mags = np.abs(block)
         p = slice(lo, lo + len(mags))
         if r == origin[0]:
             mags[ii[p] == jj[p], origin[1]] = -1.0  # exclude the auto origin
         np.maximum(best[p], mags.max(axis=1), out=best[p])
+    return _theta_report(s, zone, kind, ii, jj, best)
 
+
+def _theta_report(s: SequenceSet, zone: Zone, kind: str, ii: np.ndarray, jj: np.ndarray,
+                  best: np.ndarray) -> ThetaReport:
+    """The report from each pair's zone maximum best[p] of the pair (ii[p],
+    jj[p]), -1 for a pair with no point; the witness pair's AF is computed
+    once more by `af_grid`, from its two rows only."""
     auto = ii == jj
     theta_a = float(best[auto].max(initial=0.0))
     theta_c = float(best[~auto].max(initial=0.0))
@@ -171,13 +180,104 @@ def theta_max(s: SequenceSet, zone: Zone, kind: str) -> ThetaReport:
         thr = measured - 2 * eps(s.length)
         w = _first_at_least(best, thr)
         i, j = int(ii[w]), int(jj[w])
-        mags = np.abs(af_grid(s.matrix[i], s.matrix[j], zone, kind))
+        mags = np.abs(af_grid(*s.rows([i, j]), zone, kind))
         if i == j:
-            mags[origin] = -1.0
-        # mags.max() == best[w] >= thr, unless batched transforms round differently
+            mags[zone.z_x - 1, zone.z_y - 1] = -1.0
+        # mags.max() == best[w] >= thr, unless the two paths round differently
         r, c = divmod(_first_at_least(mags, thr), mags.shape[1])
-        witness = AFWitness(i, j, delays[r], zone.dopplers()[c], float(mags[r, c]))
+        witness = AFWitness(i, j, zone.delays()[r], zone.dopplers()[c], float(mags[r, c]))
     return ThetaReport(theta_a=theta_a, theta_c=theta_c, theta_max=measured, witness=witness)
+
+
+def structural_eps(size: int, length: int) -> float:
+    """Bound on the round-off of any one |AF| value that `structural_theta`
+    or `structural_af` computes for an interleaved set of N = size members
+    of length L = N K, (N + 125) * L * 2**-53.  `verify.theta_max` takes the
+    closed form only where this is at most eps(L), so one pass rule, theta
+    <= claim + eps(L), holds for either path.
+
+    With u = 2**-53, a value is the modulus of the sum over x < N of P_x W_x,
+    P_x = h_i(x) h_j*(m) and W_x = w_{2L}^r inner, |inner| <= K:
+    - P_x: two entries of h, each off by less than 16.6u (see eps), and a
+      product: less than 36u;
+    - the root w_{2L}^r, r reduced mod 2L in integers, has its angle pi r / L
+      rounded three times (the constant pi, the product, the quotient), as
+      an entry's is: less than 16.6u.  Periodic, inner = K [e = 0] is exact.  Aperiodic,
+      inner = c or G(e, c) = sin(pi e c / K) / sin(pi e' / K), e != 0, with
+      e c reduced mod 2K in integers, so the numerator is off by less than
+      16.1u, and e' = min(e, K - e), so the denominator's angle is at most
+      pi/2, its relative error below 4.4u, and its value at least sin(pi/K)
+      >= 2/K.  The quotient, at most K/2 in modulus, is off by less than
+      16.1u K/2 + 5.4u K/2 < 10.8uK, and a weight by less than 16.6u K/2 +
+      10.8uK + uK/2 < 20uK (17.6uK for inner = c or K);
+    - terms: each off by less than 36uK + 20uK from these inputs, N of them:
+      at most 56uL;
+    - the sum: a complex inner product of N terms, summed in any order, is
+      within gamma_{N+2} sum |P_x| |W_x| of the exact sum of its computed
+      inputs (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+      ed., Sec. 3.6), at most (N + 3)uL, and the modulus adds at most 2uL;
+    - a float set is its stored angles, each of which build_laz_set rounded
+      from h's angle and f's root (the constant 2*pi, a quotient, a product,
+      a sum and the fold into [0, 2*pi)) to within 30u, so its exact AF is
+      within 60uL of the closed form's exact value.
+    The sum, (N + 121)uL, is below (N + 125)uL.
+    """
+    return (size + 125) * length * 2.0**-53
+
+
+def _delay_weights(fx: np.ndarray, k: int, tau: int, v: np.ndarray,
+                   kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(m, W) of the closed form at one delay for f's table fx: Z_N -> Z_K
+    and the Doppler shifts v, the same for every pair (see structural_af)."""
+    n = len(fx)
+    x = np.arange(n)
+    tau1, tau2 = divmod(tau, n)
+    m = (x + tau2) % n
+    d, fm = (tau1 + (x + tau2 >= n))[:, None], fx[m][:, None]
+    e = (fx[:, None] + v - fm) % k
+    turns = 2 * (np.outer(x, v) - n * d * fm)  # w_L^{xv} w_K^{-d f(m)}, in 1/(2L) turns
+    if kind == "periodic":
+        inner = k * (e == 0)
+    else:
+        c = k - abs(d)  # |d| <= K in a zone that fits; G(e, 0) = 0
+        turns += n * e * (2 * np.maximum(0, -d) + c - 1)  # w_K^{e max(0, -d)} w_{2K}^{e (c - 1)}
+        num, den = np.sin(np.pi * (e * c % (2 * k)) / k), np.sin(np.pi * np.minimum(e, k - e) / k)
+        inner = np.divide(num, den, out=c + 0.0 * e, where=e != 0)
+    # the angle in real arithmetic: three roundings (see structural_eps)
+    return m, np.exp(1j * (np.pi * (turns % (2 * n * k)) / (n * k))) * inner
+
+
+def structural_theta(s: SequenceSet, f: ZFunc, h: SequenceSet, zone: Zone,
+                     kind: str) -> ThetaReport:
+    """`scan_theta`'s report for the interleaved set s = build_laz_set(f, h),
+    every zone point evaluated from the closed form (see structural_af) with
+    no FFT: per delay one weight matrix W(tau), and the (pairs, N) products
+    h_i(x) h_j*(m) of the pairs i <= j times W(tau), one matrix product per
+    block of pairs whose products and outputs stay within
+    SCAN_BLOCK_ENTRIES entries each.  The witness rule is scan_theta's, and
+    only the witness pair's two rows of s are formed.  Each value is within
+    structural_eps(N, L) of the exact |AF|.
+    """
+    check_kind(kind)
+    zone.check_fits(s.length)
+    n, k = f.domain_size, f.codomain_size
+    if h.phases.shape != (n, n) or s.phases.shape != (n, n * k):
+        raise PreconditionError("s must be the N x NK interleaved set of f and the N x N h")
+    ii, jj = np.triu_indices(n)  # pairs i <= j, lexicographic
+    v, fx, hm = np.asarray(zone.dopplers()), np.asarray(f.table), h.matrix
+    hc = np.conj(hm)
+    step = max(1, SCAN_BLOCK_ENTRIES // max(n, len(v)))
+    best = np.full(len(ii), -1.0)
+    for tau in zone.delays():
+        m, w = _delay_weights(fx, k, tau, v, kind)
+        hcm = hc[:, m]
+        for lo in range(0, len(ii), step):
+            p = slice(lo, lo + step)
+            mags = np.abs((hm[ii[p]] * hcm[jj[p]]) @ w)
+            if not tau:
+                mags[ii[p] == jj[p], zone.z_y - 1] = -1.0  # exclude the auto origin
+            np.maximum(best[p], mags.max(axis=1), out=best[p])
+    return _theta_report(s, zone, kind, ii, jj, best)
 
 
 def structural_af(f: ZFunc, h: SequenceSet, i: int, j: int, zone: Zone, kind: str) -> np.ndarray:
@@ -191,34 +291,17 @@ def structural_af(f: ZFunc, h: SequenceSet, i: int, j: int, zone: Zone, kind: st
     f(m)} inner(e, d_x), e = <f(x) + v - f(m)>_K.  Periodic: inner = K [e =
     0].  Aperiodic, t running over max(0, -d) <= t < min(K, K - d): inner =
     w_K^{e max(0, -d)} G(e, K - |d|), 0 at |d| = K, with G(e, c) =
-    sum_{t<c} w_K^{et} = (1 - w_K^{ec}) / (1 - w_K^e) for e != 0.
-
-    Round-off: G divides by |1 - w_K^e| >= 2 sin(pi/K), which can scale a
-    term's error by up to about K/pi; N such terms stay within O(uL), inside
-    eps(L), as K <= L.
+    sum_{t<c} w_K^{et} = w_{2K}^{e(c-1)} sin(pi e c / K) / sin(pi e / K)
+    for e != 0.  Its round-off is bounded by structural_eps.
     """
     check_kind(kind)
     n, k = f.domain_size, f.codomain_size
     if h.size != n or h.length != n:
         raise PreconditionError("companion matrix must be N x N for the domain size N")
     zone.check_fits(n * k)
-    x, v, fx, hm = np.arange(n), np.asarray(zone.dopplers()), np.asarray(f.table), h.matrix
-
-    def root(turns, q):  # w_q^turns
-        return np.exp(2j * np.pi * (turns % q) / q)
-
+    v, fx, hm = np.asarray(zone.dopplers()), np.asarray(f.table), h.matrix
     rows = []
     for tau in zone.delays():
-        tau1, tau2 = divmod(tau, n)
-        m = (x + tau2) % n
-        d, fm = (tau1 + (x + tau2 >= n))[:, None], fx[m][:, None]
-        e = (fx[:, None] + v - fm) % k
-        turns = np.outer(x, v) - n * d * fm  # w_L^{xv} w_K^{-d f(m)}, in 1/L turns
-        if kind == "periodic":
-            inner = k * (e == 0)
-        else:
-            c = k - abs(d)  # |d| <= K in a zone that fits; G(e, 0) = 0
-            turns += n * e * np.maximum(0, -d)
-            inner = np.divide(1 - root(e * c, k), 1 - root(e, k), out=c + 0j * e, where=e != 0)
-        rows.append((hm[i] * np.conj(hm[j, m])) @ (root(turns, n * k) * inner))
+        m, w = _delay_weights(fx, k, tau, v, kind)
+        rows.append((hm[i] * np.conj(hm[j, m])) @ w)
     return np.array(rows)

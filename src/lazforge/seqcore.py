@@ -110,8 +110,13 @@ class SequenceSet:
     @cached_property
     def matrix(self) -> np.ndarray:
         """The set as a (size, length) complex matrix (cached)."""
-        d = self.denominator
-        return np.exp(1j * (self.phases if d is None else TWO_PI * (self.phases / d)))
+        return self.rows(slice(None))
+
+    def rows(self, index) -> np.ndarray:
+        """The complex entries of the members `phases[index]`, equal to
+        `matrix[index]`, without forming the whole matrix."""
+        d, p = self.denominator, self.phases[index]
+        return np.exp(1j * (p if d is None else TWO_PI * (p / d)))
 
 
 @dataclass(frozen=True)

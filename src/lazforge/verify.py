@@ -8,11 +8,19 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ambiguity import AFWitness, _af_blocks, eps, theta_max
+from .ambiguity import (
+    AFWitness,
+    ThetaReport,
+    _af_blocks,
+    eps,
+    scan_theta,
+    structural_eps,
+    structural_theta,
+)
 from .bounds import BoundReport, optimality_factor
-from .construct import LazParams
+from .construct import LazParams, factor_interleaved
 from .errors import PreconditionError
-from .seqcore import TWO_PI, SequenceSet, check_kind
+from .seqcore import TWO_PI, SequenceSet, Zone, check_kind
 from .tables import TABLES, ReferenceTable, TableRow
 
 TABLE_RHO_TOL = 1e-5
@@ -21,6 +29,33 @@ TABLE_RHO_TOL = 1e-5
 # of a difference of two folded angles (a few 2*pi * 2**-53, about 1e-15), far
 # below the phase steps that tell members of a constructed set apart
 FLOAT_PHASE_TOL = 1e-9
+
+
+def theta_max(s: SequenceSet, zone: Zone, kind: str) -> ThetaReport:
+    """Max |AF| over the open zone, the auto maximum without (0, 0), with
+    every zone point of every pair i <= j evaluated, and the canonical
+    witness: the first (i, j, tau, v), i <= j, in lexicographic order with
+    |AF| >= maximum - 2 * eps(L).
+
+    An interleaved set, one that `factor_interleaved` rebuilds exactly, is
+    evaluated from the closed form by `structural_theta`, one matrix product
+    per delay and block of pairs, when its round-off bound
+    structural_eps(N, L) is at most eps(L); any other set takes the FFT scan
+    `scan_theta`.  Either way each value is within eps(L) of the exact
+    |AF|, and the witness's magnitude is recomputed by `af_grid` on its
+    pair's two rows, so on the closed-form path it may differ from the
+    measured theta by round-off, within 2 * eps(L).
+    """
+    check_kind(kind)
+    zone.check_fits(s.length)
+    if structural_eps(s.size, s.length) <= eps(s.length):
+        try:
+            f, h = factor_interleaved(s)
+        except PreconditionError:  # not interleaved
+            pass
+        else:
+            return structural_theta(s, f, h, zone, kind)
+    return scan_theta(s, zone, kind)
 
 
 @dataclass(frozen=True)
@@ -88,10 +123,11 @@ class LazCertificate:
 def certify_laz(
     s: SequenceSet, params: LazParams, distinct: DistinctReport | None = None
 ) -> LazCertificate:
-    """Exhaustively measure theta over the claimed zone with `theta_max`
-    (the pairs i <= j, and its canonical witness) and pass iff the measured
+    """Measure theta at every point of the claimed zone with `theta_max`
+    (the pairs i <= j, and its canonical witness): from the closed form for
+    an interleaved set, by the FFT scan otherwise.  Pass iff the measured
     theta is at most the claimed theta plus eps(L), the stated round-off
-    bound of one computed |AF| value.
+    bound of one computed |AF| value on either path.
 
     `distinct` is the set's `cyclic_distinct` report when the caller already
     has it; otherwise it is computed here.

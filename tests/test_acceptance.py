@@ -162,14 +162,14 @@ def test_criterion_5_oracle_equivalence(constructed):
         for kind in KINDS:
             rows = np.array([doppler_row(a, b, tau, kind) for tau in taus])
             direct = np.array([[direct_af(a, b, tau, v, kind) for v in range(length)] for tau in taus])
-            err = np.abs(rows - direct).max() / length
+            err = np.abs(rows - direct).max() / eps(length)
             worst_fft = max(worst_fft, err)
-            assert err <= 1e-9, (length, kind)
+            assert err <= 0.25, (length, kind)
     report(
         5,
         True,
         f"structural closed form agrees with the FFT kernel on every pair (worst "
-        f"{worst:.3f} eps(L)), the kernel with direct sums (worst {worst_fft:.2e} relative)",
+        f"{worst:.3f} eps(L)), the kernel with direct sums (worst {worst_fft:.3f} eps(L))",
     )
 
 

@@ -24,7 +24,7 @@ from lazforge import (
     structural_af,
     theta_max,
 )
-from lazforge.ambiguity import eps
+from lazforge.ambiguity import eps, scan_theta, structural_eps, structural_theta
 from lazforge.seqcore import KINDS
 
 from helpers import ACCEPTANCE_CONFIGS, doppler_row
@@ -118,7 +118,7 @@ class TestPointEvaluation:
         v = int(rng.integers(-n, n))
         lhs = abs(direct_af(a, b, tau, v, "periodic"))
         rhs = abs(direct_af(b, a, -tau, -v, "periodic"))
-        assert lhs == pytest.approx(rhs, abs=1e-9)
+        assert lhs == pytest.approx(rhs, abs=2 * eps(n))
 
 
 class TestAfRow:
@@ -132,7 +132,7 @@ class TestAfRow:
         for tau in (0, 1, length // 2, -1):
             row = doppler_row(a, b, tau, kind)
             for v in (0, 1, length - 1, length // 3):
-                assert row[v] == pytest.approx(direct_af(a, b, tau, v, kind), abs=1e-9 * length)
+                assert row[v] == pytest.approx(direct_af(a, b, tau, v, kind), abs=2 * eps(length))
 
     def test_tau0_periodic_row_is_transform_of_product(self):
         a, b = random_unimodular(12, 7), random_unimodular(12, 8)
@@ -153,7 +153,7 @@ class TestAfRow:
         for r, tau in enumerate(zone.delays()):
             for c, v in enumerate(zone.dopplers()):
                 want = direct_af(a, b, tau, v, "aperiodic")
-                assert g[r, c] == pytest.approx(want, abs=1e-9 * 49)
+                assert g[r, c] == pytest.approx(want, abs=2 * eps(49))
 
     @pytest.mark.parametrize("length", [7, 12])
     @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
@@ -169,9 +169,12 @@ class TestAfRow:
 
 
 class TestThetaMax:
+    """scan_theta, the FFT scan: the general path of theta_max and the
+    reference for its closed form."""
+
     def test_all_ones_singleton(self):
         s = SequenceSet([[0] * 5], 1)
-        rep = theta_max(s, Zone(1, 2), "periodic")
+        rep = scan_theta(s, Zone(1, 2), "periodic")
         assert rep.theta_a == pytest.approx(0, abs=1e-12)
         assert rep.theta_c == 0.0
         assert rep.theta_max == pytest.approx(0, abs=1e-12)
@@ -185,7 +188,7 @@ class TestThetaMax:
                     assert abs(direct_af(a, a, 0, v, "periodic")) < 1e-9
 
     def test_zone_max_is_k(self, set_7_7):
-        rep = theta_max(s=set_7_7, zone=Zone(7, 7), kind="periodic")
+        rep = scan_theta(s=set_7_7, zone=Zone(7, 7), kind="periodic")
         assert rep.theta_max == pytest.approx(7, abs=1e-6)
         w = rep.witness
         got = direct_af(set_7_7.matrix[w.i], set_7_7.matrix[w.j], w.tau, w.v, "periodic")
@@ -194,11 +197,11 @@ class TestThetaMax:
     @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
     def test_block_size_does_not_change_result(self, set_7_11, kind, monkeypatch):
         # one pair per block, and blocks that split the 28 pairs unevenly
-        whole = theta_max(set_7_11, Zone(7, 5), kind)
+        whole = scan_theta(set_7_11, Zone(7, 5), kind)
         assert whole.witness is not None
         for entries_per_block in (1, 77 * 5):
             monkeypatch.setattr("lazforge.ambiguity.SCAN_BLOCK_ENTRIES", entries_per_block)
-            got = theta_max(set_7_11, Zone(7, 5), kind)
+            got = scan_theta(set_7_11, Zone(7, 5), kind)
             assert got.witness == whole.witness
             assert got == whole
 
@@ -221,7 +224,7 @@ class TestThetaMax:
         assume(math.gcd(a2, n) == 1 and a1 < n)
         s = build_laz_set(quad_lpnf(n, a2, a1, n + k_extra), make_hmatrix(h, n))
         zone = Zone(z_x, z_y)
-        rep = theta_max(s, zone, kind)
+        rep = scan_theta(s, zone, kind)
         mat = s.matrix
         theta = {True: 0.0, False: 0.0}  # auto, cross
         points = []  # (|AF|, (i, j, tau, v)), a pair i > j folded onto (j, i, -tau, -v)
@@ -234,20 +237,20 @@ class TestThetaMax:
                         mag = abs(direct_af(mat[i], mat[j], tau, v, kind))
                         theta[i == j] = max(theta[i == j], mag)
                         points.append((mag, (i, j, tau, v) if i <= j else (j, i, -tau, -v)))
-        assert rep.theta_a == pytest.approx(theta[True], abs=1e-9)
-        assert rep.theta_c == pytest.approx(theta[False], abs=1e-9)
-        band = 2 * eps(s.length)  # theta_max's witness band
+        band = 2 * eps(s.length)  # two values within eps(L) each; also the witness band
+        assert rep.theta_a == pytest.approx(theta[True], abs=band)
+        assert rep.theta_c == pytest.approx(theta[False], abs=band)
         top = max(theta.values())
         w = rep.witness
         assert (w.i, w.j, w.tau, w.v) == min(key for mag, key in points if mag >= top - band)
         assert rep.theta_max - band <= w.magnitude <= rep.theta_max
         assert abs(direct_af(mat[w.i], mat[w.j], w.tau, w.v, kind)) == pytest.approx(
-            w.magnitude, abs=1e-9
+            w.magnitude, abs=band
         )
 
     def test_zone_must_fit(self, set_7_7):
         with pytest.raises(PreconditionError):
-            theta_max(set_7_7, Zone(50, 5), "periodic")
+            scan_theta(set_7_7, Zone(50, 5), "periodic")
 
 
 @st.composite
@@ -274,7 +277,7 @@ class TestStructuralOracle:
                 want = [[direct_af(mat[i], mat[j], tau, v, kind) for v in zone.dopplers()]
                         for tau in zone.delays()]
                 got = structural_af(f, h, i, j, zone, kind)
-                assert np.abs(got - np.array(want)).max() <= 1e-9 * 49, (i, j, kind)
+                assert np.abs(got - np.array(want)).max() <= 2 * eps(49), (i, j, kind)
 
     def test_matches_af_grid_on_7_11_full_zone(self, set_7_11):
         f, h = quad_lpnf(7, 1, 0, 11), msequence_shifts(3)
@@ -317,7 +320,7 @@ class TestStructuralOracle:
             want = 7 * np.sum(
                 hm[1] * np.conj(hm[4]) * np.exp(2j * np.pi * np.arange(7) * v1 / 7)
             )
-            assert row[42 + 7 * v1] == pytest.approx(want, abs=1e-9 * 49)
+            assert row[42 + 7 * v1] == pytest.approx(want, abs=2 * eps(49))
 
     def test_refuses_bad_input(self, set_7_7):
         f, h = quad_lpnf(7, 1, 0, 7), legendre_shifts(7)
@@ -338,6 +341,112 @@ class TestStructuralOracle:
                     assert ap <= per + abs(tau) + 1e-9
 
 
+def coefficient_sets(configs):
+    """Each (N, K, family) with the coefficients (a2, a1) = (1, 0) and (2, 1)."""
+    return [(n, k, fam, a2, a1) for n, k, fam in configs for a2, a1 in ((1, 0), (2, 1))]
+
+
+# the acceptance sets, the certify benchmark's sets (35x2415 and Björck
+# 23x529 beyond them) and a Björck 7x49 set
+CLOSED_FORM_SETS = coefficient_sets(BOUND_SETS + [(35, 69, "dft")])
+
+
+def assert_same_theta(got, want, length):
+    """Thetas within 2 * eps(L), two values within eps(L) each, and the same
+    witness, its magnitude recomputed on the same two rows."""
+    band = 2 * eps(length)
+    assert abs(got.theta_a - want.theta_a) <= band
+    assert abs(got.theta_c - want.theta_c) <= band
+    assert abs(got.theta_max - want.theta_max) <= band
+    assert got.witness == want.witness
+
+
+class TestClosedFormTheta:
+    """theta_max evaluates an interleaved set from the closed form, checked
+    against the FFT scan; any other set takes the scan itself."""
+
+    @pytest.mark.parametrize("config", CLOSED_FORM_SETS, ids=lambda c: "%dx%d %s a2=%d a1=%d" % (
+        c[0], c[0] * c[1], *c[2:]))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_scan_on_certified_sets(self, config, kind):
+        n, k, family, a2, a1 = config
+        s = build_laz_set(quad_lpnf(n, a2, a1, k), make_hmatrix(family, n))
+        zone = predicted_params(n, k, kind).zone
+        rep = theta_max(s, zone, kind)
+        assert rep == structural_theta(s, *factor_interleaved(s), zone, kind)
+        assert_same_theta(rep, scan_theta(s, zone, kind), s.length)
+
+    @pytest.mark.parametrize("p, alpha", [(11, 2), (31, 3)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_scan_on_power_maps(self, p, alpha, kind):
+        s = build_laz_set(power_lpnf(p, alpha), make_hmatrix("dft", p - 1))
+        zone = power_map_params(p, kind).zone
+        rep = theta_max(s, zone, kind)
+        assert rep == structural_theta(s, *factor_interleaved(s), zone, kind)
+        assert_same_theta(rep, scan_theta(s, zone, kind), s.length)
+
+    @given(interleaved_functions(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scan(self, f_family, data):
+        # any set the two families build, over any zone that fits
+        f, family = f_family
+        h = make_hmatrix(family, f.domain_size)
+        s = build_laz_set(f, h)
+        zone = Zone(data.draw(st.integers(1, s.length)), data.draw(st.integers(1, s.length)))
+        kind = data.draw(st.sampled_from(KINDS))
+        got = structural_theta(s, f, h, zone, kind)
+        assert_same_theta(got, scan_theta(s, zone, kind), s.length)
+
+    @pytest.mark.parametrize("family", ["legendre", "bjorck"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_changed_entry_takes_the_scan(self, family, kind, monkeypatch):
+        s = build_laz_set(quad_lpnf(7, 1, 0, 11), make_hmatrix(family, 7))
+        phases = s.phases.copy()
+        phases[3, 40] += 1
+        changed = SequenceSet(phases, s.denominator)
+        with pytest.raises(PreconditionError):
+            factor_interleaved(changed)
+        want = scan_theta(changed, Zone(7, 5), kind)
+        monkeypatch.setattr("lazforge.verify.structural_theta", None)  # a call would fail
+        assert theta_max(changed, Zone(7, 5), kind) == want
+
+    def test_interleaved_set_takes_the_closed_form(self, set_7_11, monkeypatch):
+        want = structural_theta(set_7_11, *factor_interleaved(set_7_11), Zone(7, 5), "aperiodic")
+        monkeypatch.setattr("lazforge.verify.scan_theta", None)  # a call would fail
+        assert theta_max(set_7_11, Zone(7, 5), "aperiodic") == want
+
+    def test_round_off_bound_selects_the_path(self, monkeypatch):
+        # a constant sequence is interleaved with N = 1; at L = 5 the closed
+        # form's bound exceeds eps(L), so the scan evaluates it
+        s = SequenceSet([[0] * 5], 1)
+        factor_interleaved(s)
+        assert structural_eps(1, 5) > eps(5)
+        assert structural_eps(5, 25) <= eps(25)  # the smallest acceptance set
+        monkeypatch.setattr("lazforge.verify.structural_theta", None)
+        assert theta_max(s, Zone(1, 2), "periodic") == scan_theta(s, Zone(1, 2), "periodic")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_block_size_does_not_change_result(self, set_7_11, kind, monkeypatch):
+        # one pair per block, and blocks of 5 of the 28 pairs (45 outputs, V = 9)
+        f, h = factor_interleaved(set_7_11)
+        whole = structural_theta(set_7_11, f, h, Zone(7, 5), kind)
+        for entries_per_block in (1, 45):
+            monkeypatch.setattr("lazforge.ambiguity.SCAN_BLOCK_ENTRIES", entries_per_block)
+            assert structural_theta(set_7_11, f, h, Zone(7, 5), kind) == whole
+
+    def test_preconditions(self, set_7_7, set_7_11):
+        f, h = factor_interleaved(set_7_7)
+        for evaluate in (theta_max, scan_theta):
+            with pytest.raises(PreconditionError):
+                evaluate(set_7_7, Zone(50, 5), "periodic")
+            with pytest.raises(PreconditionError):
+                evaluate(set_7_7, Zone(3, 3), "cyclic")
+        with pytest.raises(PreconditionError):
+            structural_theta(set_7_7, f, h, Zone(3, 3), "cyclic")
+        with pytest.raises(PreconditionError):
+            structural_theta(set_7_11, f, h, Zone(3, 3), "periodic")  # not the set of (f, h)
+
+
 class TestRoundOffBound:
     """Observed round-off sits within a quarter of eps(L), so a less accurate
     FFT, or a constant cut below what the round-off needs, shows here before
@@ -350,12 +459,14 @@ class TestRoundOffBound:
         return f, h, build_laz_set(f, h)
 
     def test_periodic_maxima_are_k(self, interleaved):
-        # every nonzero point of the periodic zone has magnitude exactly K
+        # every nonzero point of the periodic zone has magnitude exactly K,
+        # from the closed form (theta_max on these sets) and from the scan
         f, _, s = interleaved
         k = f.codomain_size
-        rep = theta_max(s, predicted_params(f.domain_size, k, "periodic").zone, "periodic")
-        assert abs(rep.theta_a - k) <= eps(s.length) / 4
-        assert abs(rep.theta_c - k) <= eps(s.length) / 4
+        for evaluate in (theta_max, scan_theta):
+            rep = evaluate(s, predicted_params(f.domain_size, k, "periodic").zone, "periodic")
+            assert abs(rep.theta_a - k) <= eps(s.length) / 4, evaluate
+            assert abs(rep.theta_c - k) <= eps(s.length) / 4, evaluate
 
     @pytest.mark.parametrize("kind", ["periodic", "aperiodic"])
     def test_structural_matches_fft_rows(self, interleaved, kind):
@@ -377,3 +488,16 @@ class TestRoundOffBound:
             grid = af_grid(s.matrix[i], s.matrix[j], zone, kind)
             closed = structural_af(f, h, i, j, zone, kind)
             assert np.abs(grid - closed).max() <= eps(s.length) / 4, (i, j)
+
+    @pytest.mark.parametrize("length", [2415, 8001])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_direct_sums_match_kernel(self, length, kind):
+        # all Doppler shifts at three delays: v * t runs up to about L^2, so
+        # an exponent not reduced mod L before scaling shows at these lengths
+        rng = np.random.default_rng(length)
+        a, b = np.exp(2j * np.pi * rng.random((2, length)))
+        grid = af_grid(a, b, Zone(2, length), kind)
+        for r, tau in enumerate((-1, 0, 1)):
+            for v in rng.integers(-length + 1, length, 60).tolist():
+                err = abs(grid[r, v + length - 1] - direct_af(a, b, tau, v, kind))
+                assert err <= eps(length) / 4, (tau, v)

@@ -46,7 +46,13 @@ from .seqcore import (
     save_sequence_set,
     write_text,
 )
-from .verify import certify_laz, cyclic_distinct, empirical_zone, reproduce_table
+from .verify import (
+    certify_laz,
+    cyclic_distinct,
+    empirical_zone,
+    interleaved_factors,
+    reproduce_table,
+)
 
 
 def _round9(value):
@@ -62,7 +68,7 @@ def _round9(value):
 
 def _write(text: str, path: str | None = None) -> None:
     if path:
-        write_text(path, text)
+        write_text(path, [text])
     else:
         sys.stdout.write(text)
 
@@ -127,7 +133,11 @@ def _cmd_hgen(args) -> int:
         return 0 if report.passed else 1
     if args.kind is None or args.n is None:
         args.usage_error("--kind and --n are required to generate")
-    _write(format_sequence_set(make_hmatrix(args.kind, args.n)), args.output)
+    h = make_hmatrix(args.kind, args.n)
+    if args.output:
+        save_sequence_set(h, args.output)
+    else:
+        sys.stdout.write(format_sequence_set(h))
     return 0
 
 
@@ -202,13 +212,13 @@ def _cmd_verify(args) -> int:
     s = load_sequence_set(args.set)
     meta = read_json(args.meta or _meta_path(args.set))
     kinds = KINDS if args.kind == "both" else (args.kind,)
-    distinct = cyclic_distinct(s)
+    distinct, factors = cyclic_distinct(s), interleaved_factors(s)
     out = {"certificates": [], "all_pass": True}
     for kind in kinds:
         params = LazParams.from_dict(meta.get(kind) if isinstance(meta, dict) else None)
         if params.kind != kind:  # else a copied entry would certify the wrong claim
             raise PreconditionError(f"meta entry {kind!r} claims kind {params.kind!r}")
-        cert = certify_laz(s, params, distinct=distinct)
+        cert = certify_laz(s, params, distinct=distinct, factors=factors)
         out["certificates"].append(cert.to_dict())
         out["all_pass"] &= cert.passed and cert.cyclically_distinct
     out["cyclically_distinct"] = distinct.distinct

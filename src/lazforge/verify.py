@@ -20,6 +20,7 @@ from .ambiguity import (
 from .bounds import BoundReport, optimality_factor
 from .construct import LazParams, factor_interleaved
 from .errors import PreconditionError
+from .lpnf import ZFunc
 from .seqcore import TWO_PI, SequenceSet, Zone, check_kind
 from .tables import TABLES, ReferenceTable, TableRow
 
@@ -31,31 +32,44 @@ TABLE_RHO_TOL = 1e-5
 FLOAT_PHASE_TOL = 1e-9
 
 
-def theta_max(s: SequenceSet, zone: Zone, kind: str) -> ThetaReport:
+# the default of theta_max's and certify_laz's `factors`: not yet computed
+_UNFACTORED = object()
+
+
+def interleaved_factors(s: SequenceSet) -> tuple[ZFunc, SequenceSet] | None:
+    """The (f, h) that `factor_interleaved` rebuilds s from, if it does and
+    the closed form's round-off bound structural_eps(N, L) is at most eps(L);
+    None for any other set."""
+    if structural_eps(s.size, s.length) <= eps(s.length):
+        try:
+            return factor_interleaved(s)
+        except PreconditionError:  # not interleaved
+            pass
+    return None
+
+
+def theta_max(s: SequenceSet, zone: Zone, kind: str, factors=_UNFACTORED) -> ThetaReport:
     """Max |AF| over the open zone, the auto maximum without (0, 0), with
     every zone point of every pair i <= j evaluated, and the canonical
     witness: the first (i, j, tau, v), i <= j, in lexicographic order with
     |AF| >= maximum - 2 * eps(L).
 
-    An interleaved set, one that `factor_interleaved` rebuilds exactly, is
-    evaluated from the closed form by `structural_theta`, one matrix product
-    per delay and block of pairs, when its round-off bound
-    structural_eps(N, L) is at most eps(L); any other set takes the FFT scan
-    `scan_theta`.  Either way each value is within eps(L) of the exact
-    |AF|, and the witness's magnitude is recomputed by `af_grid` on its
-    pair's two rows, so on the closed-form path it may differ from the
-    measured theta by round-off, within 2 * eps(L).
+    A set with `interleaved_factors` (f, h) is evaluated from the closed form
+    by `structural_theta`, one matrix product per delay and block of pairs;
+    any other set takes the FFT scan `scan_theta`.  Either way each value is
+    within eps(L) of the exact |AF|, and the witness's magnitude is
+    recomputed by `af_grid` on its pair's two rows, so on the closed-form
+    path it may differ from the measured theta by round-off, within 2 *
+    eps(L).  `factors` is the set's `interleaved_factors` when the caller
+    already has it; otherwise it is computed here.
     """
     check_kind(kind)
     zone.check_fits(s.length)
-    if structural_eps(s.size, s.length) <= eps(s.length):
-        try:
-            f, h = factor_interleaved(s)
-        except PreconditionError:  # not interleaved
-            pass
-        else:
-            return structural_theta(s, f, h, zone, kind)
-    return scan_theta(s, zone, kind)
+    if factors is _UNFACTORED:
+        factors = interleaved_factors(s)
+    if factors is None:
+        return scan_theta(s, zone, kind)
+    return structural_theta(s, *factors, zone, kind)
 
 
 @dataclass(frozen=True)
@@ -121,7 +135,8 @@ class LazCertificate:
 
 
 def certify_laz(
-    s: SequenceSet, params: LazParams, distinct: DistinctReport | None = None
+    s: SequenceSet, params: LazParams, distinct: DistinctReport | None = None,
+    factors=_UNFACTORED,
 ) -> LazCertificate:
     """Measure theta at every point of the claimed zone with `theta_max`
     (the pairs i <= j, and its canonical witness): from the closed form for
@@ -129,12 +144,13 @@ def certify_laz(
     theta is at most the claimed theta plus eps(L), the stated round-off
     bound of one computed |AF| value on either path.
 
-    `distinct` is the set's `cyclic_distinct` report when the caller already
-    has it; otherwise it is computed here.
+    `distinct` is the set's `cyclic_distinct` report and `factors` its
+    `interleaved_factors` when the caller already has them; otherwise they
+    are computed here.
     """
     if s.size != params.set_size or s.length != params.length:
         raise PreconditionError("set shape does not match the claimed parameters")
-    report = theta_max(s, params.zone, params.kind)
+    report = theta_max(s, params.zone, params.kind, factors)
     passed = report.theta_max <= params.theta + eps(s.length)
     try:
         bound = optimality_factor(

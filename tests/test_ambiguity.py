@@ -415,6 +415,15 @@ class TestClosedFormTheta:
         monkeypatch.setattr("lazforge.verify.scan_theta", None)  # a call would fail
         assert theta_max(set_7_11, Zone(7, 5), "aperiodic") == want
 
+    def test_given_factors_select_the_path(self, set_7_11, monkeypatch):
+        # the caller's interleaved_factors are used as given, never recomputed
+        factors = factor_interleaved(set_7_11)
+        want = structural_theta(set_7_11, *factors, Zone(7, 5), "periodic")
+        monkeypatch.setattr("lazforge.verify.factor_interleaved", None)  # a call would fail
+        assert theta_max(set_7_11, Zone(7, 5), "periodic", factors) == want
+        scanned = theta_max(set_7_11, Zone(7, 5), "periodic", None)
+        assert scanned == scan_theta(set_7_11, Zone(7, 5), "periodic")
+
     def test_round_off_bound_selects_the_path(self, monkeypatch):
         # a constant sequence is interleaved with N = 1; at L = 5 the closed
         # form's bound exceeds eps(L), so the scan evaluates it

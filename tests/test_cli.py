@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lazforge.verify
 from lazforge import make_hmatrix
 from lazforge.cli import main
 
@@ -177,6 +178,24 @@ class TestHgen:
         code, stdout, _ = run(capsys, "hgen", "--kind", kind, "--n", str(n))
         assert code == 0 and out.read_bytes() == stdout.encode()
         assert stdout == set_file_text(make_hmatrix(kind, n))
+
+
+class TestVerifyWork:
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_both_kinds_factor_the_set_once(self, tmp_path, capsys, monkeypatch, shifted):
+        # an interleaved set, and one that is not: member 1 = member 0 shifted
+        path = tmp_path / "s.json"
+        assert run(capsys, "gen", "--n", "7", "--k", "11", "--h", "mseq", "-o", str(path))[0] == 0
+        if shifted:
+            d = json.loads(path.read_text())
+            d["members"][1] = d["members"][0][3:] + d["members"][0][:3]
+            path.write_text(json.dumps(d))
+        calls = []
+        factor = lazforge.verify.factor_interleaved
+        monkeypatch.setattr("lazforge.verify.factor_interleaved",
+                            lambda s: calls.append(s) or factor(s))
+        assert run(capsys, "verify", "--set", str(path), "--kind", "both")[0] == int(shifted)
+        assert len(calls) == 1
 
 
 class TestAfCsv:
@@ -370,6 +389,19 @@ class TestFailClosedLoading:
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 200000 + "]" * 200000)
         paths = {"deep": deep, "good": files["good"], "meta": files["meta"]}
+        code, stdout, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert (code, stdout) == (3, "") and err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--set", "{long}", "--meta", "{meta}"],
+        ["verify", "--set", "{good}", "--meta", "{long}"],
+        ["hgen", "verify", "{long}"],
+    ])
+    def test_integer_past_the_conversion_limit_is_refused(self, files, capsys, tmp_path, argv):
+        # json's int() raises a plain ValueError beyond 4300 digits
+        long = tmp_path / "long.json"
+        long.write_text('{"length": ' + "1" * 5000 + "}")
+        paths = {"long": long, "good": files["good"], "meta": files["meta"]}
         code, stdout, err = run(capsys, *(a.format(**paths) for a in argv))
         assert (code, stdout) == (3, "") and err.startswith("error:")
 

@@ -1,6 +1,9 @@
 import cmath
+import contextlib
+import io
 import json
 import math
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -21,11 +24,14 @@ from lazforge import (
     make_hmatrix,
     quad_lpnf,
 )
+from lazforge.cli import main
 from lazforge.hgen import GENERATORS
 from lazforge.seqcore import (
     MAX_DENOMINATOR,
     TWO_PI,
+    _exact_layout_entries,
     format_sequence_set,
+    read_json,
     save_sequence_set,
     sequence_set_from_dict,
 )
@@ -401,3 +407,203 @@ class TestSetFileValidation:
         assert back == s
         assert set_dict(back) == set_dict(s)
         assert saved_bytes(s) == json_bytes(s)
+
+
+class TestTableWriter:
+    """The writer formats each distinct entry once; its bytes are the
+    entry-by-entry reference text's."""
+
+    @pytest.mark.parametrize("s", [
+        SequenceSet([[0.5, 1.5, 0.5, 0.5], [1.5, 0.5, 2.0, 0.5]]),
+        SequenceSet(np.arange(12).reshape(3, 4), 13),
+        SequenceSet([[1, 2**30, MAX_DENOMINATOR - 1]], MAX_DENOMINATOR),
+    ], ids=["float with repeated angles", "all entries distinct", "MAX_DENOMINATOR"])
+    def test_bytes_and_round_trip(self, s):
+        assert format_sequence_set(s) == set_file_text(s)
+        assert saved_bytes(s) == json_bytes(s)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "set.json"
+            save_sequence_set(s, path)
+            assert load_sequence_set(path) == s
+
+
+def read_both(path):
+    """What load_sequence_set and the JSON path, sequence_set_from_dict of
+    read_json, give for a file: a set, or None where one refuses it."""
+    results = []
+    for read in (load_sequence_set, lambda p: sequence_set_from_dict(read_json(p))):
+        try:
+            results.append(read(path))
+        except PreconditionError:
+            results.append(None)
+    return results
+
+
+def cli_exit(path):
+    """The exit code of `lazforge af` on a set file."""
+    argv = ["af", "--set", str(path), "--kind", "periodic", "--zx", "1", "--zy", "1"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def readers_agree(text):
+    """The set both readers give for the text, or None when both refuse it,
+    then also with exit 3 through the command line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "set.json"
+        path.write_bytes(text.encode())
+        fast, slow = read_both(path)
+        assert fast == slow
+        if fast is None:
+            assert cli_exit(path) == 3
+        return fast
+
+
+def unreduced_text(s, factors):
+    """json.dumps(d, indent=2) of s's dict, entry i's fraction scaled by
+    factors[i % len(factors)]: the writer's layout, unreduced fractions."""
+    d = set_dict(s)
+    flat = [entry for row in d["members"] for entry in row]
+    for i, entry in enumerate(flat):
+        entry[0] *= factors[i % len(factors)]
+        entry[1] *= factors[i % len(factors)]
+    return json.dumps(d, indent=2) + "\n"
+
+
+def number_spans(text):
+    """The (start, end) of every number in a set file's members."""
+    members = text.index('"members"')
+    return [m.span() for m in re.finditer(r"[0-9]+", text) if m.start() > members]
+
+
+def replace_number(text, index, new):
+    start, end = number_spans(text)[index]
+    return text[:start] + new + text[end:]
+
+
+def move_digit(text, source, target):
+    """The text with the digit at position source moved to position target
+    of the text without it."""
+    assert text[source].isdigit()
+    rest = text[:source] + text[source + 1 :]
+    return rest[:target] + text[source] + rest[target:]
+
+
+def reorder_keys(text):
+    d = json.loads(text)
+    return json.dumps({key: d[key] for key in ("members", "phase_mode", "size", "length")},
+                      indent=2) + "\n"
+
+
+# entries 0/1, 1/6, 1/3, 1/2 and 2/3, 5/6, 0/1, 1/6: its numbers, in order,
+# are 0 1 1 6 1 3 1 2 2 3 5 6 0 1 1 6
+SMALL = SequenceSet([[0, 1, 2, 3], [4, 5, 0, 1]], 6)
+SMALL_TEXT = format_sequence_set(SMALL)
+SLOT = SMALL_TEXT.index("        5,")  # the numerator 5's line
+
+# (mutation, whether the JSON path loads the result)
+EDGES = {
+    "leading zero": (replace_number(SMALL_TEXT, 2, "01"), False),
+    "plus sign": (replace_number(SMALL_TEXT, 2, "+1"), False),
+    "minus sign": (replace_number(SMALL_TEXT, 2, "-1"), True),
+    "19 digits in int64": (replace_number(SMALL_TEXT, 2, str(10**18 + 1)), True),
+    "19 digits beyond int64": (replace_number(SMALL_TEXT, 2, "9" * 19), False),
+    "20 digits": (replace_number(SMALL_TEXT, 2, "1" + "0" * 19), False),
+    "2**63 - 1": (replace_number(SMALL_TEXT, 2, str(2**63 - 1)), True),
+    "2**63 - 1 denominator": (replace_number(SMALL_TEXT, 3, str(2**63 - 1)), False),
+    "true": (replace_number(SMALL_TEXT, 2, "true"), False),
+    "NaN": (replace_number(SMALL_TEXT, 2, "NaN"), False),
+    "space between tokens": (SMALL_TEXT.replace("6\n", "6 \n", 1), True),
+    "space in a number": (replace_number(SMALL_TEXT, 10, "4 2"), False),
+    "reordered keys": (reorder_keys(SMALL_TEXT), True),
+    "truncated": (SMALL_TEXT[: len(SMALL_TEXT) // 2], False),
+    "empty file": ("", False),
+    "10**15 entries declared": (SMALL_TEXT.replace('"size": 2', '"size": 10' + "0" * 14), False),
+    # the 5 moved from its slot into the indent of its entry's bracket
+    "digit out of its slot": (move_digit(SMALL_TEXT, SLOT + 8, SLOT - 4), False),
+    "digit after its slot's comma": (move_digit(SMALL_TEXT, SLOT + 8, SLOT + 9), False),
+    "extra digit after a bracket": (SMALL_TEXT.replace("      ],", "      ]7,", 1), False),
+}
+
+FILE_MUTATIONS = ("none", "leading zero", "sign", "19 digits", "20 digits", "2**63 - 1",
+                  "true", "NaN", "whitespace", "reordered keys", "truncated",
+                  "10**15 entries", "moved digit")
+
+
+@st.composite
+def set_file_texts(draw):
+    """A rational set's file, as the writer lays it out or with unreduced
+    fractions, and changed by one drawn mutation (or none)."""
+    rows = draw(st.lists(rational_rows(1, 4), min_size=1, max_size=3)
+                .filter(lambda rows: len({len(r) for r in rows}) == 1)
+                .filter(lambda rows: lcm_of(rows) <= MAX_DENOMINATOR))
+    s = rational_set(rows)
+    if draw(st.booleans()):
+        text = format_sequence_set(s)
+    else:
+        text = unreduced_text(s, draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)))
+    mutation = draw(st.sampled_from(FILE_MUTATIONS))
+    spans = number_spans(text)
+    start, end = spans[draw(st.integers(0, len(spans) - 1))]
+    number = {
+        "leading zero": "0" + text[start:end],
+        "sign": draw(st.sampled_from("+-")) + text[start:end],
+        "19 digits": str(draw(st.integers(10**18, 10**19 - 1))),
+        "20 digits": str(draw(st.integers(10**19, 10**20 - 1))),
+        "2**63 - 1": str(2**63 - 1),
+        "true": "true",
+        "NaN": "NaN",
+    }.get(mutation)
+    if number is not None:
+        return text[:start] + number + text[end:]
+    at = draw(st.integers(0, len(text) - 1))
+    if mutation == "whitespace":
+        return text[:at] + draw(st.sampled_from([" ", "\n", "\t", "\r\n"])) + text[at:]
+    if mutation == "reordered keys":
+        return reorder_keys(text)
+    if mutation == "truncated":
+        return text[:at]
+    if mutation == "10**15 entries":
+        return re.sub('"size": [0-9]+', '"size": 10' + "0" * 14, text)
+    if mutation == "moved digit":
+        return move_digit(text, draw(st.integers(start, end - 1)), at)
+    return text
+
+
+class TestExactLayoutReader:
+    """load_sequence_set parses a rational file in the writer's exact layout
+    with numpy; any other file takes the JSON path.  Both must give == sets
+    or both refuse."""
+
+    def test_fast_path_taken_on_written_files(self, set_7_7):
+        for s in (SMALL, SequenceSet([[0]], 1), set_7_7):
+            for text in (format_sequence_set(s), unreduced_text(s, [1, 3, 2])):
+                assert _exact_layout_entries(text.encode()) is not None
+                assert readers_agree(text) == s
+
+    def test_float_files_take_the_json_path(self):
+        s = bjorck_shifts(7)
+        assert _exact_layout_entries(format_sequence_set(s).encode()) is None
+        assert readers_agree(format_sequence_set(s)) == s
+
+    @pytest.mark.parametrize("case", sorted(EDGES))
+    def test_edge_cases(self, case):
+        text, loads = EDGES[case]
+        assert (readers_agree(text) is not None) == loads
+
+    def test_int64_max_numerator_loads(self):
+        s = readers_agree(EDGES["2**63 - 1"][0])
+        assert entries(s, 0)[1] == Fraction((2**63 - 1) % 6, 6)
+
+    def test_huge_declared_size_is_refused_without_allocating(self, tmp_path):
+        # a guard failure would build a 10**15-row array: a MemoryError
+        path = tmp_path / "huge.json"
+        path.write_text(EDGES["10**15 entries declared"][0])
+        assert _exact_layout_entries(path.read_bytes()) is None
+        with pytest.raises(PreconditionError):
+            load_sequence_set(path)
+
+    @given(set_file_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_readers_agree(self, text):
+        readers_agree(text)

@@ -32,13 +32,11 @@ MAX_DENOMINATOR = 2**31
 
 # largest file read_json or load_sequence_set reads, in bytes.  Peak RSS of a
 # load in a fresh process, interpreter and numpy included: a file in the
-# writer's layout takes the fast path at 1.5 to 2.7 times its size (266.9 MB
-# for the 177.8 MB 127x32385 file, 58.5 MB for the 21.7 MB 63x8001 one), so
-# one at the cap costs about 0.4 GB; any other file takes json, whose memory
-# follows the entry count rather than the bytes: 4.6 to 5.8 times the size
-# in the writer's layout (810 and 125.4 MB for those sets; about 1.2 GB at
-# the cap), and 14.7 times for compact JSON (800 MB for 127x32385 in 54.4 MB;
-# about 3.8 GB at the cap).  The largest paper-size set (127x32385) loads.
+# writer's layout takes the fast path at 1.5 to 2.6 times its size (263.4 MB
+# for the 177.8 MB 127x32385 file, 57.3 MB for the 21.7 MB 63x8001 one), so
+# one at the cap costs about 0.4 GB.  Any other file takes json, whose memory
+# follows the count of values that _MAX_COMMAS bounds: a compact file just
+# under that bound (127x96075 entries [k,7], 73.2 MB) peaked at 1711 MB.
 MAX_FILE_BYTES = 2**28
 
 KINDS = ("periodic", "aperiodic")
@@ -161,16 +159,21 @@ class Zone:
 #   "members": [[ [num,den] | angle, ... ], ...] }
 #
 # Rational mode round-trips bit-exactly; float mode stores radian angles.
-# The writer lays a file out as json.dumps(d, indent=2) + "\n" does, each
-# rational entry k/D as its reduced fraction and each angle as its repr.  The
-# reader takes any JSON text of the schema, with any fraction of a positive
-# denominator; a rational file in the writer's exact layout is parsed by
-# numpy from its bytes, and gives the set the JSON path would give.
+# The writer lays a file out from the templates below, as json.dumps(d,
+# indent=2) + "\n" does, each rational entry k/D as its reduced fraction and
+# each angle as its repr.  The reader takes any JSON text of the schema, with
+# any fraction of a positive denominator.  A rational file whose members fit
+# those templates, each slot a JSON integer of at most 18 digits, is parsed
+# by numpy from its bytes, and gives the set the JSON path would give.
 # ---------------------------------------------------------------------------
 
 _RATIONAL_ENTRY = "      [\n        {},\n        {}\n      ]"
 _FLOAT_ENTRY = "      {!r}"
 _ROW_START, _ROW_END, _SEPARATOR, _FOOTER = "    [\n", "\n    ]", ",\n", "\n  ]\n}\n"
+# the most commas a file of the writer's within MAX_FILE_BYTES holds, all of
+# its entries the shortest one of their mode, each with its separator
+_MAX_COMMAS = max(MAX_FILE_BYTES // len(entry) * entry.count(",") for entry in (
+    _RATIONAL_ENTRY.format(0, 1) + _SEPARATOR, _FLOAT_ENTRY.format(0.0) + _SEPARATOR))
 
 
 def _header(length: int, size: int, mode: str) -> str:
@@ -238,14 +241,19 @@ def _opened(path: str | Path, mode: str):
 
 
 def read_json(path: str | Path):
-    """The JSON value stored in a file; a file that `_opened` refuses, any
-    other content, the non-standard constants NaN and +-Infinity that
+    """The JSON value stored in a file; a file that `_opened` refuses, one of
+    more than _MAX_COMMAS commas (refused before it is parsed: json's memory
+    follows the count of values, and a comma separates each from the next),
+    any other content, the non-standard constants NaN and +-Infinity that
     Python's json would otherwise accept, an integer longer than Python's
     int conversion limit, or nesting deeper than its decoder recurses, is a
     PreconditionError."""
     try:
         with _opened(path, "r") as f:
             text = f.read()
+        if (commas := text.count(",")) > _MAX_COMMAS:
+            raise PreconditionError(f"{path} has {commas} commas, more than any set file"
+                                    f" of at most {MAX_FILE_BYTES} bytes ({_MAX_COMMAS})")
         return json.loads(text, parse_constant=_refuse_constant)
     except PreconditionError:
         raise
@@ -301,12 +309,17 @@ def save_sequence_set(s: SequenceSet, path: str | Path) -> None:
 
 
 _SIZES = re.compile(rb'\{\n  "length": ([1-9][0-9]{0,18}),\n  "size": ([1-9][0-9]{0,18}),\n')
-_DIGITS = b"0123456789"
-_DIGITS_TO_ZERO = bytes.maketrans(_DIGITS, b"0" * 10)
-_NON_DIGITS_TO_SPACE = bytes(c if c in _DIGITS else ord(" ") for c in range(256))
-_SLOT_START = b"\n        0"  # a number's line, its digits turned to 0s
-_INT64_MAX = np.iinfo(np.int64).max
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+_NON_DIGITS_TO_SPACE = bytes(c if c in b"0123456789" else ord(" ") for c in range(256))
+# a JSON integer that int64 holds: no sign, no leading zero, at most 18 digits
+_NUMBER = b"(?:0|[1-9][0-9]{0,17})"
+
+
+def _member_pattern(length: int) -> re.Pattern:
+    """A member's text in the writer's layout, each slot a _NUMBER; the
+    repeat is possessive, so re keeps no backtracking state per entry."""
+    start, separator, end = (re.escape(t.encode()) for t in (_ROW_START, _SEPARATOR, _ROW_END))
+    entry = _NUMBER.join(re.escape(part.encode()) for part in _RATIONAL_ENTRY.split("{}"))
+    return re.compile(b"%s%s(?:%s%s){%d}+%s" % (start, entry, separator, entry, length - 1, end))
 
 
 def _exact_layout_entries(data: bytes | mmap.mmap) -> np.ndarray | None:
@@ -315,13 +328,9 @@ def _exact_layout_entries(data: bytes | mmap.mmap) -> np.ndarray | None:
     or not), parsed by numpy; None for any other file, which the JSON path
     then loads or refuses.
 
-    A member's text with its digits deleted must equal the layout's, each of
-    its 2 * length number lines must start with a digit after the indent,
-    and it must hold no other digits: then its digit runs are the numbers
-    and nothing else.  np.fromstring reads each run; it would accept the
-    leading zeros that JSON refuses and saturate a run beyond int64 at
-    2**63 - 1, so the runs' lengths must add up to the values' digit counts
-    and no value may be 2**63 - 1.
+    Each member's text must match `_member_pattern`: then its digit runs are
+    its 2 * length numbers, each one that json reads and int64 holds, and
+    np.fromstring reads them as json would.  A 19-digit number takes json.
     """
     sizes = _SIZES.match(data)
     if sizes is None:
@@ -330,31 +339,19 @@ def _exact_layout_entries(data: bytes | mmap.mmap) -> np.ndarray | None:
     header = _header(length, size, "rational").encode()
     # the smallest entry bounds the size a file can declare before anything
     # of that size is built
-    if (size * length * len(_RATIONAL_ENTRY.format(0, 1)) > len(data)
-            or data[: len(header)] != header or data[-len(_FOOTER) :] != _FOOTER.encode()):
+    smallest = len(_RATIONAL_ENTRY.format(0, 1))
+    if size * length * smallest > len(data) or data[: len(header)] != header:
         return None
-    skeleton = (_ROW_START + _SEPARATOR.join([_RATIONAL_ENTRY.format("", "")] * length)).encode()
-    row_end, separator = _ROW_END.encode(), _SEPARATOR.encode()
+    member = _member_pattern(length)
     entries = np.empty((size, 2 * length), dtype=np.int64)
     start = len(header)
     for i in range(size):
-        # a member's text is at least its skeleton and one digit per number
-        end = data.find(row_end, start + len(skeleton) + 2 * length)
-        if end < 0:
+        row = member.match(data, start)
+        if row is None:
             return None
-        row = data[start:end]
-        if (row.translate(None, _DIGITS) != skeleton
-                or row.translate(_DIGITS_TO_ZERO).count(_SLOT_START) != 2 * length):
-            return None
-        numbers = np.fromstring(row.translate(_NON_DIGITS_TO_SPACE), dtype=np.int64, sep=" ")
-        if len(numbers) != 2 * length or np.any(numbers == _INT64_MAX):
-            return None
-        digit_count = len(numbers) + np.searchsorted(_POWERS_OF_TEN, numbers, "right").sum()
-        if len(row) - len(skeleton) != digit_count:
-            return None
-        entries[i] = numbers
-        start = end + len(row_end)
-        tail = separator if i + 1 < size else _FOOTER.encode()
+        entries[i] = np.fromstring(row[0].translate(_NON_DIGITS_TO_SPACE), dtype=np.int64, sep=" ")
+        start = row.end()
+        tail = (_SEPARATOR if i + 1 < size else _FOOTER).encode()
         if data[start : start + len(tail)] != tail:
             return None
         start += len(tail)

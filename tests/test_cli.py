@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lazforge.verify
-from lazforge import make_hmatrix
+from lazforge import SequenceSet, make_hmatrix
 from lazforge.cli import main
 
 from helpers import set_file_text
@@ -210,6 +210,15 @@ class TestAfCsv:
         lines = stdout.splitlines()
         assert lines[0] == "tau,v,re,im,mag"
         assert len(lines) == 1 + 5 * 7  # (2*3-1) x (2*4-1)
+
+    def test_reads_two_rows_without_the_matrix(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "s.json"
+        run(capsys, "gen", "--n", "5", "--k", "5", "-o", str(out))
+        argv = ("af", "--set", str(out), "--pair", "3", "1", "--kind", "aperiodic",
+                "--zx", "3", "--zy", "4")
+        expected = run(capsys, *argv)
+        monkeypatch.setattr(SequenceSet, "matrix", property(lambda s: pytest.fail("matrix")))
+        assert run(capsys, *argv) == expected and expected[0] == 0
 
     def test_pair_bounds_checked(self, tmp_path, capsys):
         out = tmp_path / "s.json"

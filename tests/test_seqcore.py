@@ -27,7 +27,9 @@ from lazforge import (
 from lazforge.cli import main
 from lazforge.hgen import GENERATORS
 from lazforge.seqcore import (
+    _MAX_COMMAS,
     MAX_DENOMINATOR,
+    MAX_FILE_BYTES,
     TWO_PI,
     _exact_layout_entries,
     format_sequence_set,
@@ -409,6 +411,31 @@ class TestSetFileValidation:
         assert saved_bytes(s) == json_bytes(s)
 
 
+class TestJsonValueBound:
+    """read_json refuses a file of more commas, so more values, than any
+    file of the writer's within MAX_FILE_BYTES, before json parses it."""
+
+    @pytest.mark.parametrize("s", [
+        SequenceSet(np.zeros((1, 1000), dtype=np.int64), 1),
+        SequenceSet(np.zeros((1, 1000))),
+    ], ids=["rational", "float"])
+    def test_densest_written_files_stay_within_the_bound(self, s):
+        # every entry the shortest of its mode, scaled to the byte cap
+        text = format_sequence_set(s)
+        assert text.count(",") * MAX_FILE_BYTES <= _MAX_COMMAS * len(text)
+
+    def test_compact_file_over_the_bound_is_refused_unparsed(self, tmp_path, monkeypatch):
+        length = _MAX_COMMAS - 1  # 3 commas in the header, length - 1 between angles
+        path = tmp_path / "compact.json"
+        path.write_text(f'{{"length":{length},"size":1,"phase_mode":"float","members":[['
+                        + "0," * (length - 1) + "0]]}")
+        assert path.stat().st_size < MAX_FILE_BYTES
+        monkeypatch.setattr("lazforge.seqcore.json.loads", lambda *a, **k: pytest.fail("parsed"))
+        with pytest.raises(PreconditionError, match=f"{_MAX_COMMAS + 1} commas"):
+            load_sequence_set(path)
+        assert cli_exit(path) == 3
+
+
 class TestTableWriter:
     """The writer formats each distinct entry once; its bytes are the
     entry-by-entry reference text's."""
@@ -523,6 +550,7 @@ EDGES = {
     "digit out of its slot": (move_digit(SMALL_TEXT, SLOT + 8, SLOT - 4), False),
     "digit after its slot's comma": (move_digit(SMALL_TEXT, SLOT + 8, SLOT + 9), False),
     "extra digit after a bracket": (SMALL_TEXT.replace("      ],", "      ]7,", 1), False),
+    "other footer of its length": (SMALL_TEXT[:-2] + "]\n", False),
 }
 
 FILE_MUTATIONS = ("none", "leading zero", "sign", "19 digits", "20 digits", "2**63 - 1",
@@ -590,6 +618,16 @@ class TestExactLayoutReader:
     def test_edge_cases(self, case):
         text, loads = EDGES[case]
         assert (readers_agree(text) is not None) == loads
+
+    def test_18_digit_numerator_takes_the_fast_path(self):
+        text = replace_number(SMALL_TEXT, 2, "9" * 18)
+        assert _exact_layout_entries(text.encode())[0, 1, 0] == 10**18 - 1
+        assert entries(readers_agree(text), 0)[1] == Fraction((10**18 - 1) % 6, 6)
+
+    def test_19_digit_numerator_takes_the_json_path(self):
+        text = replace_number(SMALL_TEXT, 2, str(10**18 + 1))
+        assert _exact_layout_entries(text.encode()) is None
+        assert entries(readers_agree(text), 0)[1] == Fraction((10**18 + 1) % 6, 6)
 
     def test_int64_max_numerator_loads(self):
         s = readers_agree(EDGES["2**63 - 1"][0])

@@ -25,6 +25,7 @@ from lazforge import (
     save_sequence_set,
 )
 from lazforge.tables import REPORTED_SHOWCASE_FACTORS
+from lazforge.verify import interleaved_factors
 
 
 def showcase(n, k, h_kind, outdir):
@@ -33,11 +34,12 @@ def showcase(n, k, h_kind, outdir):
     path = outdir / f"set_{n}x{s.length}.json"
     save_sequence_set(s, path)
     print(f"\n== {s.size} sequences of length {s.length} ({h_kind}) -> {path}")
-    distinct = cyclic_distinct(s)  # one check serves both kinds' certificates
+    factors = interleaved_factors(s)  # one factoring and one check serve both kinds
+    distinct = cyclic_distinct(s, factors)
     for kind in ("periodic", "aperiodic"):
         t0 = time.perf_counter()
         params = predicted_params(n, k, kind)
-        cert = certify_laz(s, params, distinct=distinct)
+        cert = certify_laz(s, params, distinct=distinct, factors=factors)
         dt = time.perf_counter() - t0
         w = cert.witness
         print(

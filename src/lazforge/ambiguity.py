@@ -78,7 +78,8 @@ def _af_blocks(mat: np.ndarray, ii: np.ndarray, jj: np.ndarray, taus: Sequence[i
                vidx: np.ndarray | slice = slice(None)) -> Iterator[tuple[int, int, np.ndarray]]:
     """AF of the row pairs (mat[ii[p]], mat[jj[p]]) at every delay in taus,
     each |tau| < L: the one pair scan, behind zone maxima, empirical zones,
-    the companion verifier and the distinctness check.
+    the companion verifier and the distinctness check of a set that is not
+    interleaved.
 
     Yields (lo, r, block) with block[q, c] = AF_p(taus[r], vidx[c]) for the
     pair p = lo + q; each pair sees the delays in order.  A block holds at
@@ -225,15 +226,17 @@ def structural_eps(size: int, length: int) -> float:
     return (size + 125) * length * 2.0**-53
 
 
-def _delay_weights(fx: np.ndarray, k: int, tau: int, v: np.ndarray,
-                   kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """(m, W) of the closed form at one delay for f's table fx: Z_N -> Z_K
-    and the Doppler shifts v, the same for every pair (see structural_af)."""
+def _delay_weights(fx: np.ndarray, k: int, tau, v, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(m, W) of the closed form for f's table fx: Z_N -> Z_K, the same for
+    every pair (see structural_af): one column of W per Doppler shift of the
+    1-D array v at one delay tau, or per delay of the 1-D array tau at one
+    v.  The delays share one residue tau2 = tau mod N, so one m serves every
+    column."""
     n = len(fx)
     x = np.arange(n)
-    tau1, tau2 = divmod(tau, n)
-    m = (x + tau2) % n
-    d, fm = (tau1 + (x + tau2 >= n))[:, None], fx[m][:, None]
+    tau1, tau2 = np.divmod(tau, n)
+    m = (x + np.ravel(tau2)[0]) % n
+    d, fm = tau1 + (x[:, None] + tau2 >= n), fx[m][:, None]
     e = (fx[:, None] + v - fm) % k
     turns = 2 * (np.outer(x, v) - n * d * fm)  # w_L^{xv} w_K^{-d f(m)}, in 1/(2L) turns
     if kind == "periodic":

@@ -212,7 +212,8 @@ def _cmd_verify(args) -> int:
     s = load_sequence_set(args.set)
     meta = read_json(args.meta or _meta_path(args.set))
     kinds = KINDS if args.kind == "both" else (args.kind,)
-    distinct, factors = cyclic_distinct(s), interleaved_factors(s)
+    factors = interleaved_factors(s)
+    distinct = cyclic_distinct(s, factors)
     out = {"certificates": [], "all_pass": True}
     for kind in kinds:
         params = LazParams.from_dict(meta.get(kind) if isinstance(meta, dict) else None)

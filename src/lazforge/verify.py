@@ -4,14 +4,17 @@ maximal zones, and reference-table reproduction."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import ambiguity
 from .ambiguity import (
     AFWitness,
     ThetaReport,
     _af_blocks,
+    _delay_weights,
     eps,
     scan_theta,
     structural_eps,
@@ -78,21 +81,73 @@ class DistinctReport:
     witness: tuple[int, int, int] | None  # (i, j, tau)
 
 
-def cyclic_distinct(s: SequenceSet) -> DistinctReport:
+def cyclic_distinct(s: SequenceSet, factors=_UNFACTORED) -> DistinctReport:
     """No member is a cyclic shift of another times a unit-modulus constant
     (1 included).  Otherwise the witness is the first (i, j, tau), i < j, with
     s_j == c * (s_i shifted left by tau), that is s_j(x) == c * s_i(x + tau)
     for every x mod L; the constant is c = s_j(0) / s_i(tau).
 
-    The members' spectra S = fft(s) give, by the correlation theorem,
-    AF_{S_i S_j}(0, tau) = L * sum_x s_i(x + tau) s_j*(x): the zero-delay
-    Doppler cut of the spectra's periodic AF, which `_af_blocks` scans over
-    the pairs in lexicographic order, has magnitude L^2 at such a tau.  That
-    filter is permissive: each candidate, in ascending tau, is confirmed on
-    the phase array, exactly if rational and within FLOAT_PHASE_TOL per entry
-    if float.
+    Such a tau is one where |sum_x s_j(x) s_i*(x + tau)| = L, the periodic
+    AF of (s_j, s_i) at (tau, 0), or within L (1 - cos FLOAT_PHASE_TOL) of
+    it for a float set.  Every computed value >= L - 1/2 is a candidate, and
+    `_first_shift` confirms the candidates on the phase array in (i, j, tau)
+    order, so round-off and block sizes cannot move the witness.
+
+    A set with `interleaved_factors` (f, h), N members of length L = N K, is
+    read from the closed form (see structural_af) with no FFT.  With tau = N
+    tau1 + tau2, m = <x + tau2>_N and d_x = tau1 + [x + tau2 >= N], the sum
+    is sum_{x < N} h_j(x) h_i*(m) K w_K^{-d_x f(m)} [f(x) = f(m)].  A residue tau2 outside T2 = {tau2 :
+    f(x + tau2) = f(x) for every x}, found exactly on integers in O(N^2),
+    zeroes at least one of the N terms, so the exact value is at most L - K,
+    and a float set's stored angles, within 60uL of the closed form (see
+    structural_eps), keep it below L - 1/2.  So only T2 is scanned, {0} for
+    the quadratic and power-map families: per tau2 in T2, the (pairs i < j,
+    N) products h_j(x) h_i*(m) times one (N, K) weight matrix from
+    `_delay_weights`, one column per tau1, give every delay of that residue,
+    one matrix product per block of pairs whose products and outputs stay
+    within SCAN_BLOCK_ENTRIES entries each.  A computed value is within
+    structural_eps(N, L) <= eps(L) of the exact one, and eps(L) < 1/2 for L
+    < 10^12, so the candidates hold every shift.
+
+    Any other set is read from its members' spectra by `_spectral_candidates`.
+
+    `factors` is the set's `interleaved_factors` when the caller already has
+    it; otherwise it is computed here.
     """
-    n, d = s.length, s.denominator
+    if factors is _UNFACTORED:
+        factors = interleaved_factors(s)
+    if factors is None:
+        witness = _first_shift(s, _spectral_candidates(s))
+    else:
+        witness = _closed_form_witness(s, *factors)
+    return DistinctReport(distinct=witness is None, witness=witness)
+
+
+def _first_shift(s: SequenceSet,
+                 candidates: Iterable[tuple[int, int, int]]) -> tuple[int, int, int] | None:
+    """The first candidate (i, j, tau) with s_j == c * (s_i shifted left by
+    tau) on the phase array, exactly if rational and within FLOAT_PHASE_TOL
+    per entry if float; None if there is none."""
+    for i, j, tau in candidates:
+        diff = s.phases[j] - np.roll(s.phases[i], -tau)
+        diff -= diff[0]
+        if s.denominator is None:  # fold each angle into [-pi, pi)
+            same = np.all(np.abs((diff + math.pi) % TWO_PI - math.pi) <= FLOAT_PHASE_TOL)
+        else:
+            same = not np.any(diff % s.denominator)
+        if same:
+            return i, j, tau
+    return None
+
+
+def _spectral_candidates(s: SequenceSet) -> Iterator[tuple[int, int, int]]:
+    """cyclic_distinct's candidates (i, j, tau) of any set, in order, from
+    the members' spectra S = fft(s): by the correlation theorem,
+    AF_{S_i S_j}(0, tau) = L * sum_x s_i(x + tau) s_j*(x), the zero-delay
+    Doppler cut of the spectra's periodic AF, which `_af_blocks` scans over
+    the pairs in lexicographic order, has magnitude L^2 at a shift.
+    """
+    n = s.length
     spectra = np.fft.fft(s.matrix, axis=1)
     ii, jj = np.triu_indices(s.size, 1)
     for lo, _, block in _af_blocks(spectra, ii, jj, [0], "periodic"):
@@ -101,16 +156,36 @@ def cyclic_distinct(s: SequenceSet) -> DistinctReport:
         # far inside L / 2, and a false candidate only costs the check on the
         # phase array
         for p, tau in zip(*np.nonzero(np.abs(block) >= n * (n - 0.5))):
-            i, j = int(ii[lo + p]), int(jj[lo + p])
-            diff = s.phases[j] - np.roll(s.phases[i], -tau)
-            diff -= diff[0]
-            if d is None:  # fold each angle into [-pi, pi)
-                same = np.all(np.abs((diff + math.pi) % TWO_PI - math.pi) <= FLOAT_PHASE_TOL)
-            else:
-                same = not np.any(diff % d)
-            if same:
-                return DistinctReport(distinct=False, witness=(i, j, int(tau)))
-    return DistinctReport(distinct=True, witness=None)
+            yield int(ii[lo + p]), int(jj[lo + p]), int(tau)
+
+
+def _closed_form_witness(s: SequenceSet, f: ZFunc, h: SequenceSet) -> tuple[int, int, int] | None:
+    """cyclic_distinct's witness for the interleaved set s = build_laz_set(f,
+    h), from the closed form: per residue tau2 in T2 the first confirmed
+    candidate, and the least of those.  A residue after the first witness
+    scans only the blocks up to the witness's pair."""
+    n, k = f.domain_size, f.codomain_size
+    fx, hm = np.asarray(f.table), h.matrix
+    hc = np.conj(hm)
+    ii, jj = np.triu_indices(n, 1)  # pairs i < j, lexicographic
+    step = max(1, ambiguity.SCAN_BLOCK_ENTRIES // max(n, k))
+    witness, end = None, len(ii)
+    for tau2 in range(n):
+        if not np.array_equal(np.roll(fx, -tau2), fx):
+            continue  # tau2 not in T2
+        m, w = _delay_weights(fx, k, n * np.arange(k) + tau2, 0, "periodic")
+        hcm = hc[:, m]
+        for lo in range(0, end, step):
+            p = slice(lo, lo + step)
+            mags = np.abs((hm[jj[p]] * hcm[ii[p]]) @ w)
+            hits = zip(*np.nonzero(mags >= n * k - 0.5))
+            found = _first_shift(s, ((int(ii[lo + q]), int(jj[lo + q]), n * int(tau1) + tau2)
+                                     for q, tau1 in hits))
+            if found is not None:
+                if witness is None or found < witness:
+                    witness, end = found, lo + step
+                break
+    return witness
 
 
 @dataclass(frozen=True)
@@ -150,6 +225,8 @@ def certify_laz(
     """
     if s.size != params.set_size or s.length != params.length:
         raise PreconditionError("set shape does not match the claimed parameters")
+    if factors is _UNFACTORED:
+        factors = interleaved_factors(s)
     report = theta_max(s, params.zone, params.kind, factors)
     passed = report.theta_max <= params.theta + eps(s.length)
     try:
@@ -160,7 +237,7 @@ def certify_laz(
     except PreconditionError:
         bound = None  # zone too small for the bound to be informative
     if distinct is None:
-        distinct = cyclic_distinct(s)
+        distinct = cyclic_distinct(s, factors)
     return LazCertificate(
         claimed=params,
         measured_theta=report.theta_max,

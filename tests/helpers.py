@@ -27,6 +27,21 @@ ACCEPTANCE_CONFIGS = [
     (35, 35, "dft"),
 ]
 
+# the acceptance sets, the certify benchmark's sets beyond them (Björck 23x529
+# and 35x2415) and a Björck 7x49 set, each with the coefficients (a2, a1) =
+# (1, 0) and (2, 1): the sets the closed-form paths are checked on
+CLOSED_FORM_SETS = [
+    (n, k, family, a2, a1)
+    for n, k, family in ACCEPTANCE_CONFIGS + [(7, 7, "bjorck"), (23, 23, "bjorck"), (35, 69, "dft")]
+    for a2, a1 in ((1, 0), (2, 1))
+]
+
+
+def closed_form_id(config):
+    """The test id of a CLOSED_FORM_SETS entry, such as '35x1225 dft a2=1 a1=0'."""
+    n, k, family, a2, a1 = config
+    return f"{n}x{n * k} {family} a2={a2} a1={a1}"
+
 
 def family_orders(kind, limit=127):
     """Every order through limit that a family generates: all for DFT,

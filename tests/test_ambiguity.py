@@ -27,7 +27,7 @@ from lazforge import (
 from lazforge.ambiguity import eps, scan_theta, structural_eps, structural_theta
 from lazforge.seqcore import KINDS
 
-from helpers import ACCEPTANCE_CONFIGS, doppler_row
+from helpers import ACCEPTANCE_CONFIGS, CLOSED_FORM_SETS, closed_form_id, doppler_row
 
 # the acceptance sets, and Björck companions (float phases) up to 23x529
 BOUND_SETS = ACCEPTANCE_CONFIGS + [(7, 7, "bjorck"), (23, 23, "bjorck")]
@@ -106,8 +106,8 @@ class TestPointEvaluation:
         a, b = np.exp(2j * np.pi * rng.random((2, n)))
         tau = int(rng.integers(-n, n + 1))
         v = int(rng.integers(-2 * n, 2 * n + 1))
-        assert abs(direct_af(a, b, tau, v, "periodic")) <= n + 1e-9
-        assert abs(direct_af(a, b, tau, v, "aperiodic")) <= n + 1e-9
+        assert abs(direct_af(a, b, tau, v, "periodic")) <= n + eps(n)
+        assert abs(direct_af(a, b, tau, v, "aperiodic")) <= n + eps(n)
 
     @given(st.integers(2, 12), st.integers(0, 10**6))
     @settings(max_examples=25)
@@ -185,11 +185,11 @@ class TestThetaMax:
         for a in set_7_7.matrix:
             for v in range(-48, 49):
                 if v % 7:
-                    assert abs(direct_af(a, a, 0, v, "periodic")) < 1e-9
+                    assert abs(direct_af(a, a, 0, v, "periodic")) <= eps(49)
 
     def test_zone_max_is_k(self, set_7_7):
         rep = scan_theta(s=set_7_7, zone=Zone(7, 7), kind="periodic")
-        assert rep.theta_max == pytest.approx(7, abs=1e-6)
+        assert rep.theta_max == pytest.approx(7, abs=eps(49))
         w = rep.witness
         got = direct_af(set_7_7.matrix[w.i], set_7_7.matrix[w.j], w.tau, w.v, "periodic")
         assert abs(got) == pytest.approx(w.magnitude, abs=1e-12)
@@ -338,17 +338,7 @@ class TestStructuralOracle:
                 for v in range(-6, 7):
                     ap = abs(direct_af(mat[i], mat[j], tau, v, "aperiodic"))
                     per = abs(direct_af(mat[i], mat[j], tau, v, "periodic"))
-                    assert ap <= per + abs(tau) + 1e-9
-
-
-def coefficient_sets(configs):
-    """Each (N, K, family) with the coefficients (a2, a1) = (1, 0) and (2, 1)."""
-    return [(n, k, fam, a2, a1) for n, k, fam in configs for a2, a1 in ((1, 0), (2, 1))]
-
-
-# the acceptance sets, the certify benchmark's sets (35x2415 and Björck
-# 23x529 beyond them) and a Björck 7x49 set
-CLOSED_FORM_SETS = coefficient_sets(BOUND_SETS + [(35, 69, "dft")])
+                    assert ap <= per + abs(tau) + 2 * eps(49)  # two values within eps(L) each
 
 
 def assert_same_theta(got, want, length):
@@ -365,8 +355,7 @@ class TestClosedFormTheta:
     """theta_max evaluates an interleaved set from the closed form, checked
     against the FFT scan; any other set takes the scan itself."""
 
-    @pytest.mark.parametrize("config", CLOSED_FORM_SETS, ids=lambda c: "%dx%d %s a2=%d a1=%d" % (
-        c[0], c[0] * c[1], *c[2:]))
+    @pytest.mark.parametrize("config", CLOSED_FORM_SETS, ids=closed_form_id)
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_scan_on_certified_sets(self, config, kind):
         n, k, family, a2, a1 = config

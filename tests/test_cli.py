@@ -181,21 +181,40 @@ class TestHgen:
 
 
 class TestVerifyWork:
-    @pytest.mark.parametrize("shifted", [False, True])
-    def test_both_kinds_factor_the_set_once(self, tmp_path, capsys, monkeypatch, shifted):
-        # an interleaved set, and one that is not: member 1 = member 0 shifted
+    @staticmethod
+    def write_set(tmp_path, capsys, shifted):
+        """A 7x77 interleaved set, or one that is not: member 1 = member 0
+        shifted by 3."""
         path = tmp_path / "s.json"
         assert run(capsys, "gen", "--n", "7", "--k", "11", "--h", "mseq", "-o", str(path))[0] == 0
         if shifted:
             d = json.loads(path.read_text())
             d["members"][1] = d["members"][0][3:] + d["members"][0][:3]
             path.write_text(json.dumps(d))
+        return path
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_both_kinds_factor_the_set_once(self, tmp_path, capsys, monkeypatch, shifted):
+        path = self.write_set(tmp_path, capsys, shifted)
         calls = []
         factor = lazforge.verify.factor_interleaved
         monkeypatch.setattr("lazforge.verify.factor_interleaved",
                             lambda s: calls.append(s) or factor(s))
         assert run(capsys, "verify", "--set", str(path), "--kind", "both")[0] == int(shifted)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_distinctness_path_follows_the_set(self, tmp_path, capsys, monkeypatch, shifted):
+        # the interleaved set is read from the closed form, the shifted one by
+        # the FFT path, once for both kinds
+        path = self.write_set(tmp_path, capsys, shifted)
+        calls = []
+        spectral = lazforge.verify._spectral_candidates
+        monkeypatch.setattr("lazforge.verify._spectral_candidates",
+                            lambda s: calls.append(s) or spectral(s))
+        code, out, _ = run(capsys, "verify", "--set", str(path), "--kind", "both")
+        assert (code, len(calls)) == (int(shifted), int(shifted))
+        assert json.loads(out)["cyclically_distinct"] is not shifted
 
 
 class TestAfCsv:

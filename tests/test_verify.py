@@ -1,7 +1,6 @@
 import cmath
 import itertools
 import math
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -10,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lazforge.ambiguity
+import lazforge.verify
 from lazforge import (
+    DistinctReport,
     LazParams,
     PreconditionError,
     SequenceSet,
     Zone,
+    ZFunc,
     build_laz_set,
     certify_laz,
     cyclic_distinct,
@@ -27,9 +29,12 @@ from lazforge import (
     predicted_params,
     quad_lpnf,
     reproduce_table,
+    supported_orders,
 )
 from lazforge.ambiguity import _af_blocks, eps
-from lazforge.verify import FLOAT_PHASE_TOL
+from lazforge.verify import FLOAT_PHASE_TOL, interleaved_factors
+
+from helpers import CLOSED_FORM_SETS, closed_form_id
 
 
 class TestCertify:
@@ -126,22 +131,26 @@ def shift_sets(draw):
 
 def brute_force_witness(s):
     """The first (i, j, tau), i < j, with s_j == c * (s_i shifted left by tau),
-    entry by entry: exact Fractions for a rational set, cmath within
-    FLOAT_PHASE_TOL for a float set."""
-    if s.denominator is not None:
-        rows = [[Fraction(int(k), s.denominator) for k in row] for row in s.phases]
+    entry by entry: exact on the integer numerators of a rational set, cmath
+    within FLOAT_PHASE_TOL for a float set.  Each shift is dropped at its
+    first mismatching entry."""
+    n, d = s.length, s.denominator
+    if d is not None:
+        rows = s.phases.tolist()
 
-        def same(a, b):
-            return len({(y - x) % 1 for x, y in zip(a, b)}) == 1
+        def same(a, b, tau):
+            c = (b[0] - a[tau]) % d
+            return all((b[x] - a[(x + tau) % n]) % d == c for x in range(n))
     else:
         rows = [[cmath.exp(1j * float(x)) for x in row] for row in s.phases]
 
-        def same(a, b):
-            return all(abs(x * (b[0] / a[0]) - y) <= FLOAT_PHASE_TOL for x, y in zip(a, b))
+        def same(a, b, tau):
+            c = b[0] / a[tau]
+            return all(abs(a[(x + tau) % n] * c - b[x]) <= FLOAT_PHASE_TOL for x in range(n))
 
     for i, j in itertools.combinations(range(s.size), 2):
-        for tau in range(s.length):
-            if same(rows[i][tau:] + rows[i][:tau], rows[j]):
+        for tau in range(n):
+            if same(rows[i], rows[j], tau):
                 return i, j, tau
     return None
 
@@ -199,6 +208,132 @@ class TestCyclicDistinct:
         assert cyclic_distinct(s).witness == want
         with mock.patch.object(lazforge.ambiguity, "SCAN_BLOCK_ENTRIES", 2 * s.length):  # 2 pairs a block
             assert cyclic_distinct(s).witness == want
+
+
+@st.composite
+def interleaved_sets(draw):
+    """build_laz_set(f, h) for a companion h of order 3 <= N <= 23, the cyclic
+    shifts of one row (Legendre, m-sequence, Björck) or the DFT rows
+    w_{N+1}^{nm}, and f constant, repeating a block of period p dividing N,
+    or linear, with K >= 4 so that the closed form's round-off bound admits
+    the set.  f = 0 over shift rows, and linear f over DFT rows with K = N +
+    1, make sets that are not cyclically distinct."""
+    family = draw(st.sampled_from(["legendre", "mseq", "bjorck", "dft"]))
+    n = draw(st.sampled_from([n for n in supported_orders(family, 23) if n >= 3]))
+    k = draw(st.integers(4, 12) | st.just(n + 1))
+    if draw(st.booleans()):
+        a, b = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        table = [(a * m + b) % k for m in range(n)]
+    else:
+        p = draw(st.sampled_from([p for p in range(1, n + 1) if n % p == 0]))
+        table = draw(st.lists(st.integers(0, k - 1), min_size=p, max_size=p)) * (n // p)
+    return build_laz_set(ZFunc(n, k, table), make_hmatrix(family, n))
+
+
+class TestClosedFormDistinct:
+    """cyclic_distinct reads an interleaved set from the closed form, checked
+    against the FFT path and the brute-force search; any other set takes the
+    FFT path itself."""
+
+    @pytest.mark.parametrize("config", CLOSED_FORM_SETS, ids=closed_form_id)
+    def test_matches_fft_path_on_certified_sets(self, config):
+        n, k, family, a2, a1 = config
+        s = build_laz_set(quad_lpnf(n, a2, a1, k), make_hmatrix(family, n))
+        factors = interleaved_factors(s)
+        assert factors is not None
+        rep = cyclic_distinct(s, factors)
+        assert rep == cyclic_distinct(s) == cyclic_distinct(s, None)
+        assert rep.distinct
+        if (a2, a1) == (1, 0) and s.length < 1000:
+            assert brute_force_witness(s) is None
+
+    @pytest.mark.parametrize("p, alpha", [(11, 2), (31, 3)])
+    def test_matches_fft_path_on_power_maps(self, p, alpha):
+        s = build_laz_set(power_lpnf(p, alpha), make_hmatrix("dft", p - 1))
+        factors = interleaved_factors(s)
+        assert factors is not None
+        rep = cyclic_distinct(s, factors)
+        assert rep == cyclic_distinct(s, None) == DistinctReport(True, None)
+        assert brute_force_witness(s) is None
+
+    @pytest.mark.parametrize("family, n, k, table, want", [
+        ("legendre", 7, 7, [0] * 7, (0, 1, 1)),  # f = 0: s_1 = s_0 shifted by 1
+        ("mseq", 15, 5, [0] * 15, (0, 1, 1)),
+        ("bjorck", 7, 8, [0] * 7, (0, 1, 1)),  # float phases
+        ("dft", 7, 8, list(range(7)), (0, 1, 7)),  # f(m) = m: tau = N
+        ("dft", 15, 16, [(3 * m + 2) % 16 for m in range(15)], (0, 1, 165)),  # 3 * 11 = 1 mod 16
+    ])
+    def test_not_distinct(self, family, n, k, table, want):
+        s = build_laz_set(ZFunc(n, k, table), make_hmatrix(family, n))
+        rep = cyclic_distinct(s, interleaved_factors(s))
+        assert rep == cyclic_distinct(s, None) == DistinctReport(False, want)
+        assert brute_force_witness(s) == want
+
+    @pytest.mark.parametrize("entries", [2**16, 4])  # all pairs in one block, one a block
+    def test_least_witness_over_residues(self, entries):
+        # f = 0 repeats h K times, so s_j is s_i shifted by tau2 where h_j is h_i
+        # shifted by tau2: residue 1 finds (0, 2, 1) before residue 2 finds the
+        # witness (0, 1, 2); h is no companion, so its factors are given
+        row = np.array([0, 1, 5, 11])
+        h = SequenceSet([row, np.roll(row, -2), np.roll(row, -1), [0, 0, 0, 1]], 16)
+        s = SequenceSet(np.tile(h.phases, 4), 16)
+        assert brute_force_witness(s) == cyclic_distinct(s, None).witness == (0, 1, 2)
+        with mock.patch.object(lazforge.ambiguity, "SCAN_BLOCK_ENTRIES", entries):
+            assert cyclic_distinct(s, (ZFunc(4, 4, [0] * 4), h)).witness == (0, 1, 2)
+
+    @given(interleaved_sets())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fft_path_and_brute_force(self, s):
+        factors = interleaved_factors(s)
+        assert factors is not None
+        want = brute_force_witness(s)
+        assert cyclic_distinct(s, None).witness == want
+        assert cyclic_distinct(s, factors).witness == want
+        n, k = s.size, s.length // s.size
+        for entries in (1, 2 * max(n, k)):  # one and two pairs a block
+            with mock.patch.object(lazforge.ambiguity, "SCAN_BLOCK_ENTRIES", entries):
+                assert cyclic_distinct(s, factors).witness == want
+
+    def test_interleaved_set_takes_the_closed_form(self, set_7_11, monkeypatch):
+        want = cyclic_distinct(set_7_11, None)
+        monkeypatch.setattr("lazforge.verify._spectral_candidates", None)  # a call would fail
+        assert cyclic_distinct(set_7_11) == want
+        assert certify_laz(set_7_11, predicted_params(7, 11, "periodic")).cyclically_distinct
+
+    def test_other_set_takes_the_fft_path(self, set_7_11, monkeypatch):
+        s0 = set_7_11.phases[0]
+        shifted = SequenceSet(np.vstack([set_7_11.phases[:1], np.roll(s0, -5), set_7_11.phases[2:]]),
+                              set_7_11.denominator)
+        assert interleaved_factors(shifted) is None
+        monkeypatch.setattr("lazforge.verify._closed_form_witness", None)  # a call would fail
+        assert cyclic_distinct(shifted) == DistinctReport(False, (0, 1, 5))
+
+    @pytest.mark.parametrize("table, residues", [
+        ([(m * m) % 11 for m in range(7)], [0]),  # the quadratic family: T2 = {0}
+        ([1, 4, 9] * 5, [0, 3, 6, 9, 12]),  # period 3 on Z_15
+        ([5] * 7, list(range(7))),
+    ])
+    def test_scans_only_the_residues_of_f_periods(self, table, residues, monkeypatch):
+        n = len(table)
+        s = build_laz_set(ZFunc(n, 11, table), make_hmatrix("dft", n))
+        scanned = []
+        weights = lazforge.verify._delay_weights
+        monkeypatch.setattr("lazforge.verify._delay_weights",
+                            lambda fx, k, tau, v, kind: scanned.append(tau[0]) or weights(fx, k, tau, v, kind))
+        assert cyclic_distinct(s).distinct
+        assert scanned == residues
+
+    def test_given_factors_select_the_path(self, set_7_11, monkeypatch):
+        # the caller's interleaved_factors are used as given, never recomputed,
+        # and certify_laz factors the set once for both of its checks
+        factors = interleaved_factors(set_7_11)
+        calls = []
+        factor = lazforge.verify.factor_interleaved
+        monkeypatch.setattr("lazforge.verify.factor_interleaved",
+                            lambda s: calls.append(s) or factor(s))
+        assert cyclic_distinct(set_7_11, factors).distinct and not calls
+        certify_laz(set_7_11, predicted_params(7, 11, "periodic"))
+        assert len(calls) == 1
 
 
 def direct_rectangles(s, budgets, kind):

@@ -195,7 +195,11 @@ def structural_eps(size: int, length: int) -> float:
     or `structural_af` computes for an interleaved set of N = size members
     of length L = N K, (N + 125) * L * 2**-53.  `verify.theta_max` takes the
     closed form only where this is at most eps(L), so one pass rule, theta
-    <= claim + eps(L), holds for either path.
+    <= claim + eps(L), holds for either path.  The analysis below is for a
+    value summed from its weights: every aperiodic value, and a periodic one
+    only in a column of two or more terms.  A periodic column of one term
+    is K and of none 0, exact for a rational set; a float set's exact |AF|
+    there is within the last item's 60uL of it.
 
     With u = 2**-53, a value is the modulus of the sum over x < N of P_x W_x,
     P_x = h_i(x) h_j*(m) and W_x = w_{2L}^r inner, |inner| <= K:
@@ -250,16 +254,46 @@ def _delay_weights(fx: np.ndarray, k: int, tau, v, kind: str) -> tuple[np.ndarra
     return m, np.exp(1j * (np.pi * (turns % (2 * n * k)) / (n * k))) * inner
 
 
+def collisions(fx: np.ndarray, k: int, taus,
+               dopplers: range) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero terms of the periodic closed form (see structural_af), on
+    integers: (r, x, c, counts), one term per x and column c with f(x) + v -
+    f(m) = 0 mod K, v = dopplers[c], m = <x + tau>_N at the delay tau =
+    taus[r], ordered by r, x and c; counts[r, c] counts the terms of (tau,
+    v).  Row x of a delay hits the columns v = f(m) - f(x) mod K, K apart."""
+    n, width = len(fx), len(dopplers)
+    taus = np.asarray(taus)
+    first = (fx[(np.arange(n) + taus[:, None]) % n] - fx - dopplers.start) % k  # (r, x)
+    hits = np.maximum(0, -((first.ravel() - width) // k))  # ceil((width - first) / K)
+    term = np.repeat(np.arange(len(hits)), hits)
+    c = first.ravel()[term] + k * (np.arange(len(term)) - np.repeat(np.cumsum(hits) - hits, hits))
+    r, x = np.divmod(term, n)
+    counts = np.bincount(r * width + c, minlength=len(taus) * width).reshape(len(taus), width)
+    return r, x, c, counts
+
+
 def structural_theta(s: SequenceSet, f: ZFunc, h: SequenceSet, zone: Zone,
                      kind: str) -> ThetaReport:
     """`scan_theta`'s report for the interleaved set s = build_laz_set(f, h),
     every zone point evaluated from the closed form (see structural_af) with
-    no FFT: per delay one weight matrix W(tau), and the (pairs, N) products
-    h_i(x) h_j*(m) of the pairs i <= j times W(tau), one matrix product per
-    block of pairs whose products and outputs stay within
-    SCAN_BLOCK_ENTRIES entries each.  The witness rule is scan_theta's, and
-    only the witness pair's two rows of s are formed.  Each value is within
-    structural_eps(N, L) of the exact |AF|.
+    no FFT.  The witness rule is scan_theta's, and only the witness pair's
+    two rows of s are formed.  Each value is within structural_eps(N, L) of
+    the exact |AF|.
+
+    Aperiodic: per delay one weight matrix W(tau), and the (pairs, N)
+    products h_i(x) h_j*(m) of the pairs i <= j times W(tau), one matrix
+    product per block of pairs whose products and outputs stay within
+    SCAN_BLOCK_ENTRIES entries each.
+
+    Periodic: a zone column (tau, v) sums K h_i(x) h_j*(m) w_L^{xv}
+    w_K^{-d_x f(m)} over the x of its `collisions`.  A column with no term
+    is 0, and one with a single term is K for every pair, exactly: its
+    factors have unit modulus, |h_i(x) h_j*(m)| = 1, and a float set's
+    stored angles keep its exact |AF| within structural_eps of K.  Only the
+    columns of two or more terms take the products above, with W(tau)
+    restricted to those columns and to the rows x that hit them.  The auto
+    origin is excluded before a column's value is taken, so at N = 1 its
+    single term is not read as K.
     """
     check_kind(kind)
     zone.check_fits(s.length)
@@ -267,18 +301,34 @@ def structural_theta(s: SequenceSet, f: ZFunc, h: SequenceSet, zone: Zone,
     if h.phases.shape != (n, n) or s.phases.shape != (n, n * k):
         raise PreconditionError("s must be the N x NK interleaved set of f and the N x N h")
     ii, jj = np.triu_indices(n)  # pairs i <= j, lexicographic
-    v, fx, hm = np.asarray(zone.dopplers()), np.asarray(f.table), h.matrix
+    auto, origin = ii == jj, (zone.z_x - 1, zone.z_y - 1)  # tau = 0, v = 0
+    delays, v, fx, hm = zone.delays(), np.asarray(zone.dopplers()), np.asarray(f.table), h.matrix
     hc = np.conj(hm)
     step = max(1, SCAN_BLOCK_ENTRIES // max(n, len(v)))
     best = np.full(len(ii), -1.0)
-    for tau in zone.delays():
-        m, w = _delay_weights(fx, k, tau, v, kind)
-        hcm = hc[:, m]
+    cols, rows = np.arange(len(v)), slice(None)  # all of W(tau), aperiodic
+    if kind == "periodic":
+        r, x, c, counts = collisions(fx, k, delays, zone.dopplers())
+        # the values every pair shares; a multi-term column's are summed below
+        shared = np.select([counts == 1, counts == 0], [float(k), 0.0], -1.0)
+        cross = shared.max()
+        shared[origin] = -1.0  # exclude the auto origin
+        best = np.where(auto, shared.max(), cross)
+        multi = counts[r, c] > 1
+    for di, tau in enumerate(delays):
+        if kind == "periodic":
+            cols = np.flatnonzero(counts[di] > 1)
+            if not len(cols):
+                continue
+            terms = slice(*np.searchsorted(r, [di, di + 1]))
+            rows = np.unique(x[terms][multi[terms]])
+        m, w = _delay_weights(fx, k, tau, v[cols], kind)
+        hr, hcm, w = hm[:, rows], hc[:, m[rows]], w[rows]
         for lo in range(0, len(ii), step):
             p = slice(lo, lo + step)
-            mags = np.abs((hm[ii[p]] * hcm[jj[p]]) @ w)
+            mags = np.abs((hr[ii[p]] * hcm[jj[p]]) @ w)
             if not tau:
-                mags[ii[p] == jj[p], zone.z_y - 1] = -1.0  # exclude the auto origin
+                mags[auto[p, None] & (cols == origin[1])] = -1.0  # exclude the auto origin
             np.maximum(best[p], mags.max(axis=1), out=best[p])
     return _theta_report(s, zone, kind, ii, jj, best)
 

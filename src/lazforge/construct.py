@@ -70,10 +70,9 @@ class LazParams:
             ) from None
 
 
-def build_laz_set(f: ZFunc, h: SequenceSet) -> SequenceSet:
-    """The interleaved sequence set for f and a verified N x N companion
-    matrix h: s_n(t*N + m) = h_n(m) * w_K^{t f(m)}."""
-    n, k = f.domain_size, f.codomain_size
+def _check_companion(f: ZFunc, h: SequenceSet) -> None:
+    """Refuse an h that is not a verified N x N companion matrix for f."""
+    n = f.domain_size
     if h.size != n:
         raise PreconditionError(
             f"companion matrix order {h.size} != function domain size {n}"
@@ -85,21 +84,38 @@ def build_laz_set(f: ZFunc, h: SequenceSet) -> SequenceSet:
             f"(max inner {report.max_offdiag_inner:.6g}, "
             f"max modulated {report.max_modulated:.6g})"
         )
-    t, m = (a.ravel() for a in np.indices((k, n)))
-    base = (t * np.asarray(f.table)[m]) % k  # w_K^{t f(m)} in turns of 1/K
+
+
+def _interleaved_rows(f: ZFunc, h: SequenceSet) -> tuple[np.ndarray, int | None]:
+    """The phase rows s_n(t*N + m) = h_n(m) * w_K^{t f(m)} and their
+    denominator, before SequenceSet folds and reduces them: integer
+    numerators below 2 D over D = lcm(D_h, K), or unfolded float angles."""
+    n, k = f.domain_size, f.codomain_size
+    base = (np.arange(k)[:, None] * np.asarray(f.table)) % k  # w_K^{t f(m)} in turns of 1/K
     h_den = h.denominator
     if h_den is None:
-        d, rows = None, h.phases[:, m] + TWO_PI * (base / k)
+        d, rows = None, h.phases[:, None, :] + TWO_PI * (base / k)
     else:
         d = math.lcm(h_den, k)
-        rows = h.phases[:, m] * (d // h_den) + base * (d // k)
-    return SequenceSet(rows, d)
+        rows = h.phases[:, None, :] * (d // h_den) + base * (d // k)
+    return rows.reshape(n, n * k), d
+
+
+def build_laz_set(f: ZFunc, h: SequenceSet) -> SequenceSet:
+    """The interleaved sequence set for f and a verified N x N companion
+    matrix h: s_n(t*N + m) = h_n(m) * w_K^{t f(m)}."""
+    _check_companion(f, h)
+    return SequenceSet(*_interleaved_rows(f, h))
 
 
 def factor_interleaved(s: SequenceSet) -> tuple[ZFunc, SequenceSet]:
     """The (f, h) with build_laz_set(f, h) == s: h is the t = 0 slice and f(m)
     the K-th-root exponent of s_0(N + m) / s_0(m).  A set that this does not
-    rebuild exactly, or whose h fails its constraints, is a PreconditionError."""
+    rebuild exactly, or whose h fails its constraints, is a PreconditionError.
+
+    The rebuilt rows are compared with the phase array directly: rational
+    numerators exactly, both scaled to the common denominator lcm(D, D_s);
+    float angles as the SequenceSet they fold into, for equality."""
     n = s.size
     if s.length % n:
         raise PreconditionError(f"length {s.length} is not a multiple of the size {n}")
@@ -109,7 +125,16 @@ def factor_interleaved(s: SequenceSet) -> tuple[ZFunc, SequenceSet]:
     table = np.rint(step * k / TWO_PI) % k if d is None else (step % d) * k // d
     f = ZFunc(n, k, table.astype(np.int64).tolist())
     h = SequenceSet(phases[:, :n], d)
-    if build_laz_set(f, h) != s:
+    _check_companion(f, h)
+    rows, den = _interleaved_rows(f, h)
+    if d is None:
+        same = SequenceSet(rows) == s
+    else:
+        common = math.lcm(den, d)
+        rows *= common // den
+        rows -= phases * (common // d)  # each in (-common, 2 common)
+        same = np.all((rows == 0) | (rows == common))
+    if not same:
         raise PreconditionError("not an interleaved set")
     return f, h
 

@@ -15,6 +15,7 @@ from .ambiguity import (
     ThetaReport,
     _af_blocks,
     _delay_weights,
+    collisions,
     eps,
     scan_theta,
     structural_eps,
@@ -58,8 +59,9 @@ def theta_max(s: SequenceSet, zone: Zone, kind: str, factors=_UNFACTORED) -> The
     |AF| >= maximum - 2 * eps(L).
 
     A set with `interleaved_factors` (f, h) is evaluated from the closed form
-    by `structural_theta`, one matrix product per delay and block of pairs;
-    any other set takes the FFT scan `scan_theta`.  Either way each value is
+    by `structural_theta`, one matrix product per delay and block of pairs,
+    for the periodic kind only over the columns of two or more terms; any
+    other set takes the FFT scan `scan_theta`.  Either way each value is
     within eps(L) of the exact |AF|, and the witness's magnitude is
     recomputed by `af_grid` on its pair's two rows, so on the closed-form
     path it may differ from the measured theta by round-off, within 2 *
@@ -96,18 +98,19 @@ def cyclic_distinct(s: SequenceSet, factors=_UNFACTORED) -> DistinctReport:
     A set with `interleaved_factors` (f, h), N members of length L = N K, is
     read from the closed form (see structural_af) with no FFT.  With tau = N
     tau1 + tau2, m = <x + tau2>_N and d_x = tau1 + [x + tau2 >= N], the sum
-    is sum_{x < N} h_j(x) h_i*(m) K w_K^{-d_x f(m)} [f(x) = f(m)].  A residue tau2 outside T2 = {tau2 :
-    f(x + tau2) = f(x) for every x}, found exactly on integers in O(N^2),
-    zeroes at least one of the N terms, so the exact value is at most L - K,
-    and a float set's stored angles, within 60uL of the closed form (see
-    structural_eps), keep it below L - 1/2.  So only T2 is scanned, {0} for
-    the quadratic and power-map families: per tau2 in T2, the (pairs i < j,
-    N) products h_j(x) h_i*(m) times one (N, K) weight matrix from
-    `_delay_weights`, one column per tau1, give every delay of that residue,
-    one matrix product per block of pairs whose products and outputs stay
-    within SCAN_BLOCK_ENTRIES entries each.  A computed value is within
-    structural_eps(N, L) <= eps(L) of the exact one, and eps(L) < 1/2 for L
-    < 10^12, so the candidates hold every shift.
+    is sum_{x < N} h_j(x) h_i*(m) K w_K^{-d_x f(m)} [f(x) = f(m)].  A
+    residue tau2 outside T2 = {tau2 : f(x + tau2) = f(x) for every x}, the
+    residues whose v = 0 column holds all N of its `collisions` (exact
+    integers, O(N^2)), zeroes at least one of the N terms, so the exact
+    value is at most L - K, and a float set's stored angles, within 60uL of
+    the closed form (see structural_eps), keep it below L - 1/2.  So only T2
+    is scanned, {0} for the quadratic and power-map families: per tau2 in
+    T2, the (pairs i < j, N) products h_j(x) h_i*(m) times one (N, K) weight
+    matrix from `_delay_weights`, one column per tau1, give every delay of
+    that residue, one matrix product per block of pairs whose products and
+    outputs stay within SCAN_BLOCK_ENTRIES entries each.  A computed value
+    is within structural_eps(N, L) <= eps(L) of the exact one, and eps(L) <
+    1/2 for L < 10^12, so the candidates hold every shift.
 
     Any other set is read from its members' spectra by `_spectral_candidates`.
 
@@ -170,9 +173,8 @@ def _closed_form_witness(s: SequenceSet, f: ZFunc, h: SequenceSet) -> tuple[int,
     ii, jj = np.triu_indices(n, 1)  # pairs i < j, lexicographic
     step = max(1, ambiguity.SCAN_BLOCK_ENTRIES // max(n, k))
     witness, end = None, len(ii)
-    for tau2 in range(n):
-        if not np.array_equal(np.roll(fx, -tau2), fx):
-            continue  # tau2 not in T2
+    counts = collisions(fx, k, range(n), range(1))[3][:, 0]
+    for tau2 in np.flatnonzero(counts == n).tolist():  # T2
         m, w = _delay_weights(fx, k, n * np.arange(k) + tau2, 0, "periodic")
         hcm = hc[:, m]
         for lo in range(0, end, step):

@@ -10,6 +10,7 @@ from lazforge import (
     PreconditionError,
     SequenceSet,
     Zone,
+    ZFunc,
     af_grid,
     build_laz_set,
     direct_af,
@@ -24,7 +25,7 @@ from lazforge import (
     structural_af,
     theta_max,
 )
-from lazforge.ambiguity import eps, scan_theta, structural_eps, structural_theta
+from lazforge.ambiguity import collisions, eps, scan_theta, structural_eps, structural_theta
 from lazforge.seqcore import KINDS
 
 from helpers import ACCEPTANCE_CONFIGS, CLOSED_FORM_SETS, closed_form_id, doppler_row
@@ -267,6 +268,19 @@ def interleaved_functions(draw):
     return quad_lpnf(n, a2, a1, k), family
 
 
+@st.composite
+def non_lpnf_functions(draw):
+    """(f, companion family) with f: Z_N -> Z_K periodic with a period P
+    dividing N, its first P values drawn: constant at P = 1, random at P = N.
+    Such f put two or more terms in periodic zone columns at many delays."""
+    n, family = draw(st.sampled_from([(3, "legendre"), (3, "mseq"), (4, "dft"), (6, "dft"),
+                                      (7, "bjorck"), (7, "mseq"), (9, "dft")]))
+    k = draw(st.integers(1, 12))
+    period = draw(st.sampled_from([p for p in range(1, n + 1) if n % p == 0]))
+    cycle = draw(st.lists(st.integers(0, k - 1), min_size=period, max_size=period))
+    return ZFunc(n, k, cycle * (n // period)), family
+
+
 class TestStructuralOracle:
     def test_matches_direct_on_7_7_zone(self, set_7_7):
         # the per-point link between the two independent oracles
@@ -386,6 +400,28 @@ class TestClosedFormTheta:
         got = structural_theta(s, f, h, zone, kind)
         assert_same_theta(got, scan_theta(s, zone, kind), s.length)
 
+    @given(non_lpnf_functions(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scan_with_multi_term_columns(self, f_family, data):
+        f, family = f_family
+        h = make_hmatrix(family, f.domain_size)
+        s = build_laz_set(f, h)
+        zone = Zone(data.draw(st.integers(1, s.length)), data.draw(st.integers(1, s.length)))
+        for kind in KINDS:
+            assert_same_theta(structural_theta(s, f, h, zone, kind), scan_theta(s, zone, kind),
+                              s.length)
+
+    @pytest.mark.parametrize("zone", [Zone(1, 1), Zone(1, 2), Zone(1, 5)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_member_excludes_the_single_term_origin(self, zone, kind):
+        # at N = 1 the (0, 0) column holds one term, the auto origin: it is
+        # excluded, not read as K
+        f, h = ZFunc(1, 5, (2,)), SequenceSet([[0]], 1)
+        s = build_laz_set(f, h)
+        got = structural_theta(s, f, h, zone, kind)
+        assert_same_theta(got, scan_theta(s, zone, kind), s.length)
+        assert got.theta_max <= eps(5)
+
     @pytest.mark.parametrize("family", ["legendre", "bjorck"])
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_changed_entry_takes_the_scan(self, family, kind, monkeypatch):
@@ -443,6 +479,23 @@ class TestClosedFormTheta:
             structural_theta(set_7_7, f, h, Zone(3, 3), "cyclic")
         with pytest.raises(PreconditionError):
             structural_theta(set_7_11, f, h, Zone(3, 3), "periodic")  # not the set of (f, h)
+
+
+class TestCollisions:
+    @given(st.integers(1, 9), st.integers(1, 12), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force_counts(self, n, k, data):
+        fx = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        zone = Zone(data.draw(st.integers(1, n * k)), data.draw(st.integers(1, n * k)))
+        delays, dopplers = zone.delays(), zone.dopplers()
+        r, x, c, counts = collisions(fx, k, delays, dopplers)
+        terms = [(d, x, c) for d, tau in enumerate(delays) for x in range(n)
+                 for c, v in enumerate(dopplers) if (fx[x] + v - fx[(x + tau) % n]) % k == 0]
+        assert list(zip(r.tolist(), x.tolist(), c.tolist())) == terms
+        want = np.zeros((len(delays), len(dopplers)), dtype=int)
+        for d, _, c in terms:
+            want[d, c] += 1
+        assert np.array_equal(counts, want)
 
 
 class TestRoundOffBound:

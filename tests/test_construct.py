@@ -161,6 +161,20 @@ class TestFactorInterleaved:
         with pytest.raises(PreconditionError, match="not an interleaved set"):
             factor_interleaved(s)
 
+    @pytest.mark.parametrize("family, k, table", [
+        ("legendre", 7, [0] * 7),  # D = 2 against lcm(2, 7) = 14
+        ("dft", 9, [0, 3, 6, 3, 0, 6, 3]),  # D = 24 against lcm(8, 9) = 72
+    ])
+    def test_set_below_the_rebuild_denominator(self, family, k, table):
+        # the rebuilt numerators and the set's are scaled to one denominator
+        # before they are compared
+        f, h = ZFunc(7, k, table), make_hmatrix(family, 7)
+        s = build_laz_set(f, h)
+        assert s.denominator < math.lcm(h.denominator, k)
+        assert factor_interleaved(s) == (f, h)
+        with pytest.raises(PreconditionError, match="not an interleaved set"):
+            factor_interleaved(move_entry(s, 3, 20))
+
     def test_failing_companion_refused(self):
         # the closed form for f = 0 over Legendre shifts of order 5, which fail
         # their constraints: each member is its h row repeated K times

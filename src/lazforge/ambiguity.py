@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .lpnf import ZFunc
+from .lpnf import ZFunc, difference_counts
 from .seqcore import SequenceSet, Zone, check_kind
 
 # complex entries (16 bytes each) per _af_blocks block; caps its scratch memory
@@ -254,24 +254,6 @@ def _delay_weights(fx: np.ndarray, k: int, tau, v, kind: str) -> tuple[np.ndarra
     return m, np.exp(1j * (np.pi * (turns % (2 * n * k)) / (n * k))) * inner
 
 
-def collisions(fx: np.ndarray, k: int, taus,
-               dopplers: range) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero terms of the periodic closed form (see structural_af), on
-    integers: (r, x, c, counts), one term per x and column c with f(x) + v -
-    f(m) = 0 mod K, v = dopplers[c], m = <x + tau>_N at the delay tau =
-    taus[r], ordered by r, x and c; counts[r, c] counts the terms of (tau,
-    v).  Row x of a delay hits the columns v = f(m) - f(x) mod K, K apart."""
-    n, width = len(fx), len(dopplers)
-    taus = np.asarray(taus)
-    first = (fx[(np.arange(n) + taus[:, None]) % n] - fx - dopplers.start) % k  # (r, x)
-    hits = np.maximum(0, -((first.ravel() - width) // k))  # ceil((width - first) / K)
-    term = np.repeat(np.arange(len(hits)), hits)
-    c = first.ravel()[term] + k * (np.arange(len(term)) - np.repeat(np.cumsum(hits) - hits, hits))
-    r, x = np.divmod(term, n)
-    counts = np.bincount(r * width + c, minlength=len(taus) * width).reshape(len(taus), width)
-    return r, x, c, counts
-
-
 def structural_theta(s: SequenceSet, f: ZFunc, h: SequenceSet, zone: Zone,
                      kind: str) -> ThetaReport:
     """`scan_theta`'s report for the interleaved set s = build_laz_set(f, h),
@@ -286,12 +268,13 @@ def structural_theta(s: SequenceSet, f: ZFunc, h: SequenceSet, zone: Zone,
     SCAN_BLOCK_ENTRIES entries each.
 
     Periodic: a zone column (tau, v) sums K h_i(x) h_j*(m) w_L^{xv}
-    w_K^{-d_x f(m)} over the x of its `collisions`.  A column with no term
-    is 0, and one with a single term is K for every pair, exactly: its
-    factors have unit modulus, |h_i(x) h_j*(m)| = 1, and a float set's
-    stored angles keep its exact |AF| within structural_eps of K.  Only the
-    columns of two or more terms take the products above, with W(tau)
-    restricted to those columns and to the rows x that hit them.  The auto
+    w_K^{-d_x f(m)} over the x with f(x + tau) - f(x) = v mod K, whose
+    number is f's `difference_counts`.  A column with no term is 0, and one
+    with a single term is K for every pair, exactly: its factors have unit
+    modulus, |h_i(x) h_j*(m)| = 1, and a float set's stored angles keep its
+    exact |AF| within structural_eps of K.  Only the columns of two or more
+    terms take the products above, with W(tau) restricted to those columns;
+    a row x that misses such a column weighs exactly 0 there.  The auto
     origin is excluded before a column's value is taken, so at N = 1 its
     single term is not read as K.
     """
@@ -306,27 +289,24 @@ def structural_theta(s: SequenceSet, f: ZFunc, h: SequenceSet, zone: Zone,
     hc = np.conj(hm)
     step = max(1, SCAN_BLOCK_ENTRIES // max(n, len(v)))
     best = np.full(len(ii), -1.0)
-    cols, rows = np.arange(len(v)), slice(None)  # all of W(tau), aperiodic
+    cols = np.arange(len(v))  # all of W(tau), aperiodic
     if kind == "periodic":
-        r, x, c, counts = collisions(fx, k, delays, zone.dopplers())
+        counts = difference_counts(f, delays, zone.dopplers())
         # the values every pair shares; a multi-term column's are summed below
         shared = np.select([counts == 1, counts == 0], [float(k), 0.0], -1.0)
         cross = shared.max()
         shared[origin] = -1.0  # exclude the auto origin
         best = np.where(auto, shared.max(), cross)
-        multi = counts[r, c] > 1
     for di, tau in enumerate(delays):
         if kind == "periodic":
             cols = np.flatnonzero(counts[di] > 1)
             if not len(cols):
                 continue
-            terms = slice(*np.searchsorted(r, [di, di + 1]))
-            rows = np.unique(x[terms][multi[terms]])
         m, w = _delay_weights(fx, k, tau, v[cols], kind)
-        hr, hcm, w = hm[:, rows], hc[:, m[rows]], w[rows]
+        hcm = hc[:, m]
         for lo in range(0, len(ii), step):
             p = slice(lo, lo + step)
-            mags = np.abs((hr[ii[p]] * hcm[jj[p]]) @ w)
+            mags = np.abs((hm[ii[p]] * hcm[jj[p]]) @ w)
             if not tau:
                 mags[auto[p, None] & (cols == origin[1])] = -1.0  # exclude the auto origin
             np.maximum(best[p], mags.max(axis=1), out=best[p])

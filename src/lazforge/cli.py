@@ -152,7 +152,8 @@ def _cmd_lpnf(args) -> int:
     else:
         zone = Zone(f.domain_size, f.codomain_size)
     count, a, b = nonlinearity_witness(f, zone)
-    print(f"P_f = {count} over zone ({zone.z_x},{zone.z_y}); witness a={a} b={b}")
+    witness = f"witness a={a} b={b}" if count else "no witness"
+    print(f"P_f = {count} over zone ({zone.z_x},{zone.z_y}); {witness}")
     if args.diff_csv:
         lines = ["a,x,diff"]
         for a_step in range(1, f.domain_size):

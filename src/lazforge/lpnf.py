@@ -3,15 +3,18 @@
 A function table f is locally perfect nonlinear over a zone C x D when every
 difference equation f(x+a) - f(x) = b with a in C\\{0}, b in D has at most one
 solution x.  The zone is a seqcore.Zone, C = (-z_x, z_x) and D = (-z_y, z_y):
-the delay-Doppler zone that the construction guarantees.  The measure below is computed by brute force; the quadratic and
-power families ship with the zones on which they provably achieve measure 1.
+the delay-Doppler zone that the construction guarantees.  The measure below
+is read from `difference_counts`; the quadratic and power families ship
+with the zones on which they provably achieve measure 1.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import PreconditionError
 from .numth import is_prime, smallest_prime_factor
@@ -27,7 +30,13 @@ class ZFunc:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(self.table))
+        table = tuple(self.table)
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
+               for v in (self.domain_size, self.codomain_size, *table)):
+            raise PreconditionError("sizes and table entries must be integers")
+        object.__setattr__(self, "domain_size", int(self.domain_size))  # numpy integers too
+        object.__setattr__(self, "codomain_size", int(self.codomain_size))
+        object.__setattr__(self, "table", tuple(map(int, table)))
         if self.domain_size < 1 or self.codomain_size < 1:
             raise PreconditionError("domain and codomain sizes must be positive")
         if len(self.table) != self.domain_size:
@@ -44,29 +53,37 @@ def diff_table(f: ZFunc, a: int) -> tuple[int, ...]:
     return tuple((f.table[(x + a) % n] - f.table[x]) % k for x in range(n))
 
 
-def _check_zone(f: ZFunc, zone: Zone) -> None:
-    if zone.z_x > f.domain_size or zone.z_y > f.codomain_size:
-        raise PreconditionError("zone exceeds function domain/codomain")
+def difference_counts(f: ZFunc, taus, dopplers) -> np.ndarray:
+    """counts[r, c] = #{x : f(x + taus[r]) - f(x) = dopplers[c] mod K}, an
+    int array read from one histogram of residues over K bins per delay.  It
+    is both the LPNF solution count of the equation (a, b) = (taus[r],
+    dopplers[c]) and the number of terms of the periodic closed form (see
+    ambiguity.structural_af) in the zone column (tau, v) of an interleaved set.
+    """
+    n, k = f.domain_size, f.codomain_size
+    fx, taus = np.asarray(f.table), np.asarray(taus, dtype=int)
+    rows = np.arange(len(taus))[:, None]
+    bins = k * rows + (fx[(np.arange(n) + taus[:, None]) % n] - fx) % k  # (r, x)
+    hist = np.bincount(bins.ravel(), minlength=len(taus) * k).reshape(len(taus), k)
+    return hist[:, np.asarray(dopplers, dtype=int) % k]
 
 
 def nonlinearity_witness(f: ZFunc, zone: Zone) -> tuple[int, int, int]:
-    """(count, a, b) achieving the max solution count, lexicographically first.
+    """(count, a, b) achieving the max solution count, lexicographically
+    first over a in C\\{0} and then b in D; (0, 0, 0), no witness, when no
+    equation in the zone has a solution, as at z_x = 1 where C\\{0} is empty.
 
     b ranges over the integers of D and is matched against the mod-K
     difference, so a D wider than K covers every residue.
     """
-    _check_zone(f, zone)
-    k = f.codomain_size
-    best = (0, 0, 0)
-    for a in range(-zone.z_x + 1, zone.z_x):
-        if a == 0:
-            continue
-        counts = Counter(diff_table(f, a))
-        for b in range(-zone.z_y + 1, zone.z_y):
-            c = counts.get(b % k, 0)
-            if c > best[0]:
-                best = (c, a, b)
-    return best
+    if zone.z_x > f.domain_size or zone.z_y > f.codomain_size:
+        raise PreconditionError("zone exceeds function domain/codomain")
+    taus = [a for a in zone.delays() if a]
+    counts = difference_counts(f, taus, zone.dopplers())
+    if not counts.any():
+        return 0, 0, 0
+    r, c = divmod(int(counts.argmax()), counts.shape[1])  # row-major: the first maximum
+    return int(counts[r, c]), taus[r], zone.dopplers()[c]
 
 
 def nonlinearity_measure(f: ZFunc, zone: Zone) -> int:

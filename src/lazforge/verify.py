@@ -15,7 +15,6 @@ from .ambiguity import (
     ThetaReport,
     _af_blocks,
     _delay_weights,
-    collisions,
     eps,
     scan_theta,
     structural_eps,
@@ -24,7 +23,7 @@ from .ambiguity import (
 from .bounds import BoundReport, optimality_factor
 from .construct import LazParams, factor_interleaved
 from .errors import PreconditionError
-from .lpnf import ZFunc
+from .lpnf import ZFunc, difference_counts
 from .seqcore import TWO_PI, SequenceSet, Zone, check_kind
 from .tables import TABLES, ReferenceTable, TableRow
 
@@ -100,10 +99,10 @@ def cyclic_distinct(s: SequenceSet, factors=_UNFACTORED) -> DistinctReport:
     tau1 + tau2, m = <x + tau2>_N and d_x = tau1 + [x + tau2 >= N], the sum
     is sum_{x < N} h_j(x) h_i*(m) K w_K^{-d_x f(m)} [f(x) = f(m)].  A
     residue tau2 outside T2 = {tau2 : f(x + tau2) = f(x) for every x}, the
-    residues whose v = 0 column holds all N of its `collisions` (exact
-    integers, O(N^2)), zeroes at least one of the N terms, so the exact
-    value is at most L - K, and a float set's stored angles, within 60uL of
-    the closed form (see structural_eps), keep it below L - 1/2.  So only T2
+    residues whose v = 0 `difference_counts` is N (exact integers, O(N^2)),
+    zeroes at least one of the N terms, so the exact value is at most L - K,
+    and a float set's stored angles, within 60uL of the closed form (see
+    structural_eps), keep it below L - 1/2.  So only T2
     is scanned, {0} for the quadratic and power-map families: per tau2 in
     T2, the (pairs i < j, N) products h_j(x) h_i*(m) times one (N, K) weight
     matrix from `_delay_weights`, one column per tau1, give every delay of
@@ -173,7 +172,7 @@ def _closed_form_witness(s: SequenceSet, f: ZFunc, h: SequenceSet) -> tuple[int,
     ii, jj = np.triu_indices(n, 1)  # pairs i < j, lexicographic
     step = max(1, ambiguity.SCAN_BLOCK_ENTRIES // max(n, k))
     witness, end = None, len(ii)
-    counts = collisions(fx, k, range(n), range(1))[3][:, 0]
+    counts = difference_counts(f, range(n), [0])[:, 0]
     for tau2 in np.flatnonzero(counts == n).tolist():  # T2
         m, w = _delay_weights(fx, k, n * np.arange(k) + tau2, 0, "periodic")
         hcm = hc[:, m]

@@ -25,7 +25,7 @@ from lazforge import (
     structural_af,
     theta_max,
 )
-from lazforge.ambiguity import collisions, eps, scan_theta, structural_eps, structural_theta
+from lazforge.ambiguity import eps, scan_theta, structural_eps, structural_theta
 from lazforge.seqcore import KINDS
 
 from helpers import ACCEPTANCE_CONFIGS, CLOSED_FORM_SETS, closed_form_id, doppler_row
@@ -479,23 +479,6 @@ class TestClosedFormTheta:
             structural_theta(set_7_7, f, h, Zone(3, 3), "cyclic")
         with pytest.raises(PreconditionError):
             structural_theta(set_7_11, f, h, Zone(3, 3), "periodic")  # not the set of (f, h)
-
-
-class TestCollisions:
-    @given(st.integers(1, 9), st.integers(1, 12), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_matches_brute_force_counts(self, n, k, data):
-        fx = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
-        zone = Zone(data.draw(st.integers(1, n * k)), data.draw(st.integers(1, n * k)))
-        delays, dopplers = zone.delays(), zone.dopplers()
-        r, x, c, counts = collisions(fx, k, delays, dopplers)
-        terms = [(d, x, c) for d, tau in enumerate(delays) for x in range(n)
-                 for c, v in enumerate(dopplers) if (fx[x] + v - fx[(x + tau) % n]) % k == 0]
-        assert list(zip(r.tolist(), x.tolist(), c.tolist())) == terms
-        want = np.zeros((len(delays), len(dopplers)), dtype=int)
-        for d, _, c in terms:
-            want[d, c] += 1
-        assert np.array_equal(counts, want)
 
 
 class TestRoundOffBound:

@@ -273,6 +273,15 @@ class TestLpnfCommand:
         assert lines[0] == "a,x,diff"
         assert len(lines) == 1 + 4 * 5
 
+    @pytest.mark.parametrize("argv, line", [
+        ("--n 5 --k 8", "P_f = 1 over zone (5,4); witness a=-4 b=-3"),
+        ("--n 5 --k 8 --zx 5 --zy 8", "P_f = 2 over zone (5,8); witness a=-3 b=-4"),
+        ("--power-map 7 3 --zx 6 --zy 1", "P_f = 0 over zone (6,1); no witness"),  # b = 0 unsolved
+        ("--n 5 --k 5 --zx 1 --zy 3", "P_f = 0 over zone (1,3); no witness"),  # no nonzero delay
+    ], ids=["quad", "quad-wide", "power-map-count-0", "zx-1"])
+    def test_witness_line(self, capsys, argv, line):
+        assert run(capsys, "lpnf", *argv.split()) == (0, line + "\n", "")
+
 
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, tmp_path, capsys):

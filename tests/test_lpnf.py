@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +19,31 @@ from lazforge import (
     power_lpnf,
     quad_lpnf,
 )
+from lazforge.lpnf import difference_counts
 
 from helpers import euler_phi
+
+
+def counter_witness(f, zone):
+    """nonlinearity_witness by brute force, one Counter of diff_table per
+    delay: the reference."""
+    k = f.codomain_size
+    best = (0, 0, 0)
+    for a in range(-zone.z_x + 1, zone.z_x):
+        if a == 0:
+            continue
+        counts = Counter(diff_table(f, a))
+        for b in range(-zone.z_y + 1, zone.z_y):
+            c = counts.get(b % k, 0)
+            if c > best[0]:
+                best = (c, a, b)
+    return best
+
+
+@st.composite
+def functions(draw):
+    n, k = draw(st.integers(1, 9)), draw(st.integers(1, 12))
+    return ZFunc(n, k, draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
 
 
 def accepts_power_map(p, alpha):
@@ -72,6 +97,49 @@ class TestDiffTables:
             diff_table(example_f, 5)
 
 
+class TestZFunc:
+    @pytest.mark.parametrize("args", [
+        (3, 5, (1.5, 0, True)),
+        (3.0, 5, (1, 0, 2)),
+        (3, 5, (1, 0, True)),
+        (3, True, (0, 0, 0)),
+        (3, 5, (1, 0, np.float64(2))),
+    ], ids=["float-and-bool-entries", "float-size", "bool-entry", "bool-size", "numpy-float-entry"])
+    def test_non_integers_refused(self, args):
+        with pytest.raises(PreconditionError, match="integers"):
+            ZFunc(*args)
+
+    def test_numpy_integers_stored_as_ints(self):
+        f = ZFunc(np.int64(3), np.int32(5), np.array([1, 0, 2]))
+        assert f == ZFunc(3, 5, (1, 0, 2))
+        assert all(type(v) is int for v in (f.domain_size, f.codomain_size, *f.table))
+
+
+class TestDifferenceCounts:
+    @given(functions(), st.data())
+    @settings(max_examples=60)
+    def test_matches_brute_force_counts(self, f, data):
+        # any delays, |tau| >= N among them, and Doppler shifts from below -K
+        n, k = f.domain_size, f.codomain_size
+        taus = data.draw(st.lists(st.integers(-3 * n, 3 * n), max_size=6))
+        dopplers = data.draw(st.lists(st.integers(-3 * k, 3 * k), min_size=1, max_size=8))
+        want = [[sum((f.table[(x + tau) % n] - f.table[x] - v) % k == 0 for x in range(n))
+                 for v in dopplers] for tau in taus]
+        got = difference_counts(f, taus, dopplers)
+        assert got.shape == (len(taus), len(dopplers)) and got.tolist() == want
+
+    def test_zone_of_an_interleaved_set(self):
+        # the LPNF zone (7, 5) of the 7x77 set: one term per column off tau = 0
+        f, zone = quad_lpnf(7, 1, 0, 11), Zone(7, 5)
+        got = difference_counts(f, zone.delays(), zone.dopplers())
+        assert got[6].tolist() == [0, 0, 0, 0, 7, 0, 0, 0, 0]  # tau = 0: every x at v = 0
+        assert np.delete(got, 6, axis=0).max() == 1
+        # delays equal mod N and Doppler shifts equal mod K read the same bins
+        long = difference_counts(f, [-8, -1, 6, 13], range(-22, 23))
+        assert np.array_equal(long[0], long[1]) and np.array_equal(long[2], long[3])
+        assert np.array_equal(long[:, :11], long[:, 11:22])
+
+
 class TestNonlinearityMeasure:
     def test_example_zone_narrow(self, example_f):
         assert nonlinearity_measure(example_f, Zone(5, 4)) == 1
@@ -88,6 +156,21 @@ class TestNonlinearityMeasure:
         count, a, b = nonlinearity_witness(example_f, Zone(5, 8))
         assert count == 2
         assert diff_table(example_f, a).count(b % 8) == 2
+
+    @given(functions(), st.data())
+    @settings(max_examples=100)
+    def test_witness_matches_counter_loop(self, f, data):
+        n, k = f.domain_size, f.codomain_size
+        zone = Zone(data.draw(st.integers(1, n)), data.draw(st.integers(1, k) | st.just(k)))
+        assert nonlinearity_witness(f, zone) == counter_witness(f, zone)
+
+    @pytest.mark.parametrize("f, zone", [
+        (quad_lpnf(5, 1, 0, 5), Zone(1, 3)),  # z_x = 1: no nonzero delay
+        (power_lpnf(7, 3), Zone(6, 1)),  # injective f: no solution at b = 0
+        (ZFunc(1, 4, (2,)), Zone(1, 4)),
+    ], ids=["zx-1", "injective-b-0", "one-point"])
+    def test_no_solution_no_witness(self, f, zone):
+        assert nonlinearity_witness(f, zone) == counter_witness(f, zone) == (0, 0, 0)
 
     def test_zone_bounds_checked(self, example_f):
         with pytest.raises(PreconditionError):

@@ -14,7 +14,7 @@ handled by the exponent sign.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Generator, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import PreconditionError
 from .lpnf import ZFunc, difference_counts
 from .seqcore import SequenceSet, Zone, check_kind
 
-# complex entries (16 bytes each) per _af_blocks block; caps its scratch memory
+# complex entries (16 bytes each) per block of a pair kernel; caps their scratch memory
 SCAN_BLOCK_ENTRIES = 2**16
 
 
@@ -230,19 +230,18 @@ def structural_eps(size: int, length: int) -> float:
     return (size + 125) * length * 2.0**-53
 
 
-def _delay_weights(fx: np.ndarray, k: int, tau, v, kind: str) -> tuple[np.ndarray, np.ndarray]:
+def _delay_weights(fx: np.ndarray, k: int, taus, v, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """(m, W) of the closed form for f's table fx: Z_N -> Z_K, the same for
-    every pair (see structural_af): one column of W per Doppler shift of the
-    1-D array v at one delay tau, or per delay of the 1-D array tau at one
-    v.  The delays share one residue tau2 = tau mod N, so one m serves every
-    column."""
+    every pair (see structural_af): one column of W per point (taus[c], v[c]),
+    the delays of one residue tau2 = tau mod N, so one m serves every column."""
     n = len(fx)
-    x = np.arange(n)
-    tau1, tau2 = np.divmod(tau, n)
-    m = (x + np.ravel(tau2)[0]) % n
-    d, fm = tau1 + (x[:, None] + tau2 >= n), fx[m][:, None]
-    e = (fx[:, None] + v - fm) % k
-    turns = 2 * (np.outer(x, v) - n * d * fm)  # w_L^{xv} w_K^{-d f(m)}, in 1/(2L) turns
+    x = np.arange(n)[:, None]
+    tau1, tau2 = np.divmod(taus, n)
+    m = (x[:, 0] + tau2[0]) % n
+    d, fm = tau1 + (x + tau2 >= n), fx[m][:, None]
+    e = np.add.outer((fx - fx[m]) % k, v % k)  # below 2K; then <f(x) + v - f(m)>_K
+    e[e >= k] -= k
+    turns = 2 * (x * v - n * d * fm)  # w_L^{xv} w_K^{-d f(m)}, in 1/(2L) turns
     if kind == "periodic":
         inner = k * (e == 0)
     else:
@@ -254,18 +253,42 @@ def _delay_weights(fx: np.ndarray, k: int, tau, v, kind: str) -> tuple[np.ndarra
     return m, np.exp(1j * (np.pi * (turns % (2 * n * k)) / (n * k))) * inner
 
 
+def _closed_form_blocks(f: ZFunc, h: SequenceSet, ii: np.ndarray, jj: np.ndarray, taus, v,
+                        kind: str) -> Generator[tuple[int, slice, np.ndarray], int | None, None]:
+    """The closed form's AF (see structural_af) of the interleaved row pairs
+    (s_ii[p], s_jj[p]) at the paired points (taus[c], v[c]): its one
+    evaluation.  A run of consecutive points of one residue tau mod N (a
+    delay's, in zone order) takes one W per SCAN_BLOCK_ENTRIES // N points,
+    and a W one matrix product per block of pairs within SCAN_BLOCK_ENTRIES
+    entries.  Yields (lo, cols, block), block[q, c] = AF_{lo+q} at the point
+    cols.start + c, each W's blocks in pair order.  send(end), answered by
+    None, ends them and limits every later W to blocks starting before end."""
+    n, k = f.domain_size, f.codomain_size
+    fx, hm = np.asarray(f.table), h.matrix
+    cap, end = max(1, SCAN_BLOCK_ENTRIES // n), len(ii)
+    runs = [*np.flatnonzero(np.diff(taus % n, prepend=-1)), len(taus)]  # one residue each
+    for first, stop in zip(runs, runs[1:]):
+        for a in range(first, stop, cap):
+            cols = slice(a, min(a + cap, stop))
+            m, w = _delay_weights(fx, k, taus[cols], v[cols], kind)
+            hcm = np.conj(hm[:, m])
+            step = max(1, SCAN_BLOCK_ENTRIES // max(n, w.shape[1]))
+            for lo in range(0, end, step):
+                p = slice(lo, lo + step)
+                sent = yield lo, cols, (hm[ii[p]] * hcm[jj[p]]) @ w
+                if sent is not None:
+                    end = min(end, sent)
+                    yield  # the answer to send()
+                    break
+
+
 def structural_theta(s: SequenceSet, f: ZFunc, h: SequenceSet, zone: Zone,
                      kind: str) -> ThetaReport:
     """`scan_theta`'s report for the interleaved set s = build_laz_set(f, h),
-    every zone point evaluated from the closed form (see structural_af) with
-    no FFT.  The witness rule is scan_theta's, and only the witness pair's
-    two rows of s are formed.  Each value is within structural_eps(N, L) of
-    the exact |AF|.
-
-    Aperiodic: per delay one weight matrix W(tau), and the (pairs, N)
-    products h_i(x) h_j*(m) of the pairs i <= j times W(tau), one matrix
-    product per block of pairs whose products and outputs stay within
-    SCAN_BLOCK_ENTRIES entries each.
+    the pairs i <= j evaluated from the closed form by `_closed_form_blocks`
+    with no FFT.  The witness rule is scan_theta's, and only the witness
+    pair's two rows of s are formed.  Each value is within structural_eps(N,
+    L) of the exact |AF|.
 
     Periodic: a zone column (tau, v) sums K h_i(x) h_j*(m) w_L^{xv}
     w_K^{-d_x f(m)} over the x with f(x + tau) - f(x) = v mod K, whose
@@ -273,10 +296,9 @@ def structural_theta(s: SequenceSet, f: ZFunc, h: SequenceSet, zone: Zone,
     with a single term is K for every pair, exactly: its factors have unit
     modulus, |h_i(x) h_j*(m)| = 1, and a float set's stored angles keep its
     exact |AF| within structural_eps of K.  Only the columns of two or more
-    terms take the products above, with W(tau) restricted to those columns;
-    a row x that misses such a column weighs exactly 0 there.  The auto
-    origin is excluded before a column's value is taken, so at N = 1 its
-    single term is not read as K.
+    terms take the closed form; a row x that misses such a column weighs
+    exactly 0 there.  The auto origin is excluded before a column's value is
+    taken, so at N = 1 its single term is not read as K.
     """
     check_kind(kind)
     zone.check_fits(s.length)
@@ -284,32 +306,21 @@ def structural_theta(s: SequenceSet, f: ZFunc, h: SequenceSet, zone: Zone,
     if h.phases.shape != (n, n) or s.phases.shape != (n, n * k):
         raise PreconditionError("s must be the N x NK interleaved set of f and the N x N h")
     ii, jj = np.triu_indices(n)  # pairs i <= j, lexicographic
-    auto, origin = ii == jj, (zone.z_x - 1, zone.z_y - 1)  # tau = 0, v = 0
-    delays, v, fx, hm = zone.delays(), np.asarray(zone.dopplers()), np.asarray(f.table), h.matrix
-    hc = np.conj(hm)
-    step = max(1, SCAN_BLOCK_ENTRIES // max(n, len(v)))
-    best = np.full(len(ii), -1.0)
-    cols = np.arange(len(v))  # all of W(tau), aperiodic
+    auto = ii == jj
+    taus, v = (a.ravel() for a in np.meshgrid(zone.delays(), zone.dopplers(), indexing="ij"))
+    origin, best = (taus == 0) & (v == 0), np.full(len(ii), -1.0)
     if kind == "periodic":
-        counts = difference_counts(f, delays, zone.dopplers())
+        counts = difference_counts(f, zone.delays(), zone.dopplers()).ravel()
         # the values every pair shares; a multi-term column's are summed below
         shared = np.select([counts == 1, counts == 0], [float(k), 0.0], -1.0)
-        cross = shared.max()
-        shared[origin] = -1.0  # exclude the auto origin
-        best = np.where(auto, shared.max(), cross)
-    for di, tau in enumerate(delays):
-        if kind == "periodic":
-            cols = np.flatnonzero(counts[di] > 1)
-            if not len(cols):
-                continue
-        m, w = _delay_weights(fx, k, tau, v[cols], kind)
-        hcm = hc[:, m]
-        for lo in range(0, len(ii), step):
-            p = slice(lo, lo + step)
-            mags = np.abs((hm[ii[p]] * hcm[jj[p]]) @ w)
-            if not tau:
-                mags[auto[p, None] & (cols == origin[1])] = -1.0  # exclude the auto origin
-            np.maximum(best[p], mags.max(axis=1), out=best[p])
+        best = np.where(auto, np.where(origin, -1.0, shared).max(), shared.max())
+        taus, v, origin = taus[counts > 1], v[counts > 1], origin[counts > 1]
+    for lo, cols, block in _closed_form_blocks(f, h, ii, jj, taus, v, kind):
+        mags = np.abs(block)
+        p = slice(lo, lo + len(mags))
+        if origin[cols].any():  # exclude the auto origin
+            mags[auto[p, None] & origin[cols]] = -1.0
+        np.maximum(best[p], mags.max(axis=1), out=best[p])
     return _theta_report(s, zone, kind, ii, jj, best)
 
 
@@ -332,9 +343,6 @@ def structural_af(f: ZFunc, h: SequenceSet, i: int, j: int, zone: Zone, kind: st
     if h.size != n or h.length != n:
         raise PreconditionError("companion matrix must be N x N for the domain size N")
     zone.check_fits(n * k)
-    v, fx, hm = np.asarray(zone.dopplers()), np.asarray(f.table), h.matrix
-    rows = []
-    for tau in zone.delays():
-        m, w = _delay_weights(fx, k, tau, v, kind)
-        rows.append((hm[i] * np.conj(hm[j, m])) @ w)
-    return np.array(rows)
+    taus, v = (a.ravel() for a in np.meshgrid(zone.delays(), zone.dopplers(), indexing="ij"))
+    blocks = _closed_form_blocks(f, h, np.array([i]), np.array([j]), taus, v, kind)
+    return np.hstack([block[0] for _, _, block in blocks]).reshape(len(zone.delays()), -1)

@@ -108,6 +108,12 @@ def build_laz_set(f: ZFunc, h: SequenceSet) -> SequenceSet:
     return SequenceSet(*_interleaved_rows(f, h))
 
 
+def _fold(angles: np.ndarray) -> np.ndarray:
+    """SequenceSet's fold, bit for bit, of angles a in [0, 4*pi): np.mod is
+    fmod there, exactly a or a - 2*pi, and a - 2*pi is exact by Sterbenz's lemma."""
+    return np.where(angles < TWO_PI, angles, angles - TWO_PI)
+
+
 def factor_interleaved(s: SequenceSet) -> tuple[ZFunc, SequenceSet]:
     """The (f, h) with build_laz_set(f, h) == s: h is the t = 0 slice and f(m)
     the K-th-root exponent of s_0(N + m) / s_0(m).  A set that this does not
@@ -115,7 +121,7 @@ def factor_interleaved(s: SequenceSet) -> tuple[ZFunc, SequenceSet]:
 
     The rebuilt rows are compared with the phase array directly: rational
     numerators exactly, both scaled to the common denominator lcm(D, D_s);
-    float angles as the SequenceSet they fold into, for equality."""
+    float angles after `_fold`, for equality."""
     n = s.size
     if s.length % n:
         raise PreconditionError(f"length {s.length} is not a multiple of the size {n}")
@@ -128,7 +134,7 @@ def factor_interleaved(s: SequenceSet) -> tuple[ZFunc, SequenceSet]:
     _check_companion(f, h)
     rows, den = _interleaved_rows(f, h)
     if d is None:
-        same = SequenceSet(rows) == s
+        same = np.array_equal(_fold(rows), phases)  # each angle h's plus 2*pi j/K, both below 2*pi
     else:
         common = math.lcm(den, d)
         rows *= common // den

@@ -9,12 +9,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import ambiguity
 from .ambiguity import (
     AFWitness,
     ThetaReport,
     _af_blocks,
-    _delay_weights,
+    _closed_form_blocks,
     eps,
     scan_theta,
     structural_eps,
@@ -58,14 +57,13 @@ def theta_max(s: SequenceSet, zone: Zone, kind: str, factors=_UNFACTORED) -> The
     |AF| >= maximum - 2 * eps(L).
 
     A set with `interleaved_factors` (f, h) is evaluated from the closed form
-    by `structural_theta`, one matrix product per delay and block of pairs,
-    for the periodic kind only over the columns of two or more terms; any
-    other set takes the FFT scan `scan_theta`.  Either way each value is
-    within eps(L) of the exact |AF|, and the witness's magnitude is
-    recomputed by `af_grid` on its pair's two rows, so on the closed-form
-    path it may differ from the measured theta by round-off, within 2 *
-    eps(L).  `factors` is the set's `interleaved_factors` when the caller
-    already has it; otherwise it is computed here.
+    by `structural_theta`, for the periodic kind only over the columns of two
+    or more terms; any other set takes the FFT scan `scan_theta`.  Either
+    way each value is within eps(L) of the exact |AF|, and the witness's
+    magnitude is recomputed by `af_grid` on its pair's two rows, so on the
+    closed-form path it may differ from the measured theta by round-off,
+    within 2 * eps(L).  `factors` is the set's `interleaved_factors` when
+    the caller already has it; otherwise it is computed here.
     """
     check_kind(kind)
     zone.check_fits(s.length)
@@ -102,14 +100,11 @@ def cyclic_distinct(s: SequenceSet, factors=_UNFACTORED) -> DistinctReport:
     residues whose v = 0 `difference_counts` is N (exact integers, O(N^2)),
     zeroes at least one of the N terms, so the exact value is at most L - K,
     and a float set's stored angles, within 60uL of the closed form (see
-    structural_eps), keep it below L - 1/2.  So only T2
-    is scanned, {0} for the quadratic and power-map families: per tau2 in
-    T2, the (pairs i < j, N) products h_j(x) h_i*(m) times one (N, K) weight
-    matrix from `_delay_weights`, one column per tau1, give every delay of
-    that residue, one matrix product per block of pairs whose products and
-    outputs stay within SCAN_BLOCK_ENTRIES entries each.  A computed value
-    is within structural_eps(N, L) <= eps(L) of the exact one, and eps(L) <
-    1/2 for L < 10^12, so the candidates hold every shift.
+    structural_eps), keep it below L - 1/2.  So only T2 is scanned, {0} for
+    the quadratic and power-map families: `_closed_form_blocks` gives the K
+    delays of a residue from one weight matrix.  A computed value is within
+    structural_eps(N, L) <= eps(L) of the exact one, and eps(L) < 1/2 for L
+    < 10^12, so the candidates hold every shift.
 
     Any other set is read from its members' spectra by `_spectral_candidates`.
 
@@ -138,7 +133,7 @@ def _first_shift(s: SequenceSet,
         else:
             same = not np.any(diff % s.denominator)
         if same:
-            return i, j, tau
+            return int(i), int(j), int(tau)
     return None
 
 
@@ -163,29 +158,19 @@ def _spectral_candidates(s: SequenceSet) -> Iterator[tuple[int, int, int]]:
 
 def _closed_form_witness(s: SequenceSet, f: ZFunc, h: SequenceSet) -> tuple[int, int, int] | None:
     """cyclic_distinct's witness for the interleaved set s = build_laz_set(f,
-    h), from the closed form: per residue tau2 in T2 the first confirmed
-    candidate, and the least of those.  A residue after the first witness
-    scans only the blocks up to the witness's pair."""
+    h): the least of the first confirmed candidates of each weight matrix."""
     n, k = f.domain_size, f.codomain_size
-    fx, hm = np.asarray(f.table), h.matrix
-    hc = np.conj(hm)
     ii, jj = np.triu_indices(n, 1)  # pairs i < j, lexicographic
-    step = max(1, ambiguity.SCAN_BLOCK_ENTRIES // max(n, k))
-    witness, end = None, len(ii)
-    counts = difference_counts(f, range(n), [0])[:, 0]
-    for tau2 in np.flatnonzero(counts == n).tolist():  # T2
-        m, w = _delay_weights(fx, k, n * np.arange(k) + tau2, 0, "periodic")
-        hcm = hc[:, m]
-        for lo in range(0, end, step):
-            p = slice(lo, lo + step)
-            mags = np.abs((hm[jj[p]] * hcm[ii[p]]) @ w)
-            hits = zip(*np.nonzero(mags >= n * k - 0.5))
-            found = _first_shift(s, ((int(ii[lo + q]), int(jj[lo + q]), n * int(tau1) + tau2)
-                                     for q, tau1 in hits))
-            if found is not None:
-                if witness is None or found < witness:
-                    witness, end = found, lo + step
-                break
+    t2 = np.flatnonzero(difference_counts(f, range(n), [0])[:, 0] == n)  # T2
+    taus = (t2[:, None] + n * np.arange(k)).ravel()
+    witness = None
+    blocks = _closed_form_blocks(f, h, jj, ii, taus, np.zeros_like(taus), "periodic")
+    for lo, cols, block in blocks:
+        q, c = np.nonzero(np.abs(block) >= n * k - 0.5)
+        found = _first_shift(s, zip(ii[lo + q], jj[lo + q], taus[cols][c]))
+        if found is not None:
+            witness = min(found, witness or found)
+            blocks.send(lo + len(block))  # no later block past this one
     return witness
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lazforge.ambiguity
 from lazforge import (
     PreconditionError,
     SequenceSet,
@@ -13,6 +14,7 @@ from lazforge import (
     ZFunc,
     af_grid,
     build_laz_set,
+    cyclic_distinct,
     direct_af,
     factor_interleaved,
     legendre_shifts,
@@ -467,6 +469,37 @@ class TestClosedFormTheta:
         for entries_per_block in (1, 45):
             monkeypatch.setattr("lazforge.ambiguity.SCAN_BLOCK_ENTRIES", entries_per_block)
             assert structural_theta(set_7_11, f, h, Zone(7, 5), kind) == whole
+
+    def test_column_cap(self, monkeypatch):
+        # a zone wider than N: each delay's 153 points are cut into weight
+        # matrices of at most SCAN_BLOCK_ENTRIES // N columns
+        f, h = quad_lpnf(7, 1, 0, 11), make_hmatrix("dft", 7)
+        s = build_laz_set(f, h)
+        whole = structural_theta(s, f, h, Zone(77, 77), "aperiodic")
+        widths = []
+        weights = lazforge.ambiguity._delay_weights
+
+        def record(*args):
+            m, w = weights(*args)
+            widths.append(w.shape[1])
+            return m, w
+
+        monkeypatch.setattr("lazforge.ambiguity._delay_weights", record)
+        monkeypatch.setattr("lazforge.ambiguity.SCAN_BLOCK_ENTRIES", 7 * 40)
+        assert structural_theta(s, f, h, Zone(77, 77), "aperiodic") == whole
+        assert max(widths) == 40 and sum(widths) == 153**2
+
+    def test_one_kernel_evaluates_the_closed_form(self, set_7_11, monkeypatch):
+        f, h = factor_interleaved(set_7_11)
+        monkeypatch.setattr("lazforge.ambiguity._closed_form_blocks", None)  # a call would fail
+        monkeypatch.setattr("lazforge.verify._closed_form_blocks", None)
+        for kind in KINDS:
+            with pytest.raises(TypeError):
+                structural_theta(set_7_11, f, h, Zone(7, 5), kind)
+            with pytest.raises(TypeError):
+                structural_af(f, h, 0, 1, Zone(7, 5), kind)
+        with pytest.raises(TypeError):
+            cyclic_distinct(set_7_11)
 
     def test_preconditions(self, set_7_7, set_7_11):
         f, h = factor_interleaved(set_7_7)

@@ -27,8 +27,9 @@ from lazforge import (
     verify_h_constraints,
 )
 from lazforge.cli import main
+from lazforge.construct import _fold
 from lazforge.hgen import GENERATORS
-from lazforge.seqcore import format_sequence_set, sequence_set_from_dict
+from lazforge.seqcore import TWO_PI, format_sequence_set, sequence_set_from_dict
 
 from helpers import entries
 
@@ -174,6 +175,26 @@ class TestFactorInterleaved:
         assert factor_interleaved(s) == (f, h)
         with pytest.raises(PreconditionError, match="not an interleaved set"):
             factor_interleaved(move_entry(s, 3, 20))
+
+    @given(st.lists(st.floats(0.0, 4 * math.pi, exclude_max=True), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_fold_matches_sequence_set(self, angles):
+        # the float rebuild's angles lie in [0, 4*pi), where one subtraction
+        # of 2*pi is SequenceSet's fold bit for bit
+        edges = [0.0, TWO_PI, np.nextafter(TWO_PI, 0), 2 * np.nextafter(TWO_PI, 0)]
+        rows = np.array([angles + edges])
+        assert np.array_equal(_fold(rows).view(np.int64), SequenceSet(rows).phases.view(np.int64))
+
+    @pytest.mark.parametrize("index", [(3, 40), (0, 9), (6, 48)])
+    @pytest.mark.parametrize("direction", [-np.inf, np.inf])
+    def test_float_entry_moved_one_ulp_refused(self, index, direction):
+        s = build_laz_set(quad_lpnf(7, 1, 0, 7), bjorck_shifts(7))
+        phases = s.phases.copy()
+        phases[index] = np.nextafter(phases[index], direction)
+        moved = SequenceSet(phases)
+        assert moved != s
+        with pytest.raises(PreconditionError, match="not an interleaved set"):
+            factor_interleaved(moved)
 
     def test_failing_companion_refused(self):
         # the closed form for f = 0 over Legendre shifts of order 5, which fail

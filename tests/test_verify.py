@@ -317,11 +317,36 @@ class TestClosedFormDistinct:
         n = len(table)
         s = build_laz_set(ZFunc(n, 11, table), make_hmatrix("dft", n))
         scanned = []
-        weights = lazforge.verify._delay_weights
-        monkeypatch.setattr("lazforge.verify._delay_weights",
-                            lambda fx, k, tau, v, kind: scanned.append(tau[0]) or weights(fx, k, tau, v, kind))
+        blocks = lazforge.verify._closed_form_blocks
+
+        def record(f, h, ii, jj, taus, v, kind):  # the residues, in the order they are scanned
+            scanned.extend(dict.fromkeys((np.asarray(taus) % n).tolist()))
+            return blocks(f, h, ii, jj, taus, v, kind)
+
+        monkeypatch.setattr("lazforge.verify._closed_form_blocks", record)
         assert cyclic_distinct(s).distinct
         assert scanned == residues
+
+    def test_stops_early_after_a_witness(self, monkeypatch):
+        # f = 0 over Legendre shifts, one weight matrix per residue: residue 0
+        # scans all 6 blocks of 4 pairs and finds nothing, residue 1 finds
+        # (0, 1, 1) in the first block, and the 5 residues after it multiply
+        # that block only
+        s = build_laz_set(ZFunc(7, 4, [0] * 7), make_hmatrix("legendre", 7))
+        starts = []
+        blocks = lazforge.verify._closed_form_blocks
+
+        def record(*args):  # the kernel's blocks, with send() passed on
+            inner = blocks(*args)
+            for item in inner:
+                starts.append(item[0])
+                if (end := (yield item)) is not None:
+                    yield inner.send(end)
+
+        monkeypatch.setattr("lazforge.verify._closed_form_blocks", record)
+        monkeypatch.setattr("lazforge.ambiguity.SCAN_BLOCK_ENTRIES", 28)
+        assert cyclic_distinct(s).witness == (0, 1, 1)
+        assert starts == list(range(0, 21, 4)) + [0] * 6
 
     def test_given_factors_select_the_path(self, set_7_11, monkeypatch):
         # the caller's interleaved_factors are used as given, never recomputed,
